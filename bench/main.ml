@@ -1257,53 +1257,44 @@ let bench_causal quick =
 (* The lint layer's interprocedural pass (DESIGN.md §15) runs on every
    `dune runtest`; tracking its cost here keeps analyzer regressions
    as visible as any other hot path.  The three phases are timed
-   separately because they scale differently: tokenization is linear
-   in bytes, call-graph construction in tokens, and effect
-   propagation in SCC edges. *)
+   separately because they scale differently: loading the .cmt typed
+   trees is linear in their size, call-graph construction in
+   identifier occurrences, and effect propagation in SCC edges.
+   Needs the .cmt files: run `dune build @check` first. *)
 let bench_lint () =
-  header "Static analyzer self-run: tokenize + call graph + effects";
+  header "Static analyzer self-run: .cmt load + call graph + effects";
   if not (Sys.file_exists "lib") then
     pf "lint: lib/ not found (run from the repository root); skipped@."
-  else begin
-    let files =
-      Lint.Engine.project_files "."
-      |> List.filter (fun (p, _) ->
-             String.length p > 4 && String.sub p 0 4 = "lib/")
-    in
-    let bytes =
-      List.fold_left (fun a (_, c) -> a + String.length c) 0 files
-    in
-    let t0 = Unix.gettimeofday () in
-    let n_tokens =
-      List.fold_left
-        (fun a (_, c) -> a + List.length (Lint.Tokenizer.tokenize c))
-        0 files
-    in
-    let t_tok = Unix.gettimeofday () -. t0 in
-    let t1 = Unix.gettimeofday () in
-    let g = Lint.Callgraph.of_sources files in
-    let t_graph = Unix.gettimeofday () -. t1 in
-    let t2 = Unix.gettimeofday () in
-    let a = Lint.Effects.analyze g in
-    let findings = Lint.Effects.findings a in
-    let t_eff = Unix.gettimeofday () -. t2 in
-    let s = Lint.Effects.stats a in
-    Obs.add (Obs.counter "bench.lint.files") (List.length files);
-    Obs.add (Obs.counter "bench.lint.tokens") n_tokens;
-    Obs.add (Obs.counter "bench.lint.functions") s.Lint.Effects.s_functions;
-    Obs.add (Obs.counter "bench.lint.edges") s.Lint.Effects.s_edges;
-    Obs.add (Obs.counter "bench.lint.seeds") s.Lint.Effects.s_seeds;
-    Obs.add (Obs.counter "bench.lint.reachable") s.Lint.Effects.s_reachable;
-    pf "sources: %d files, %d KB, %d tokens@." (List.length files)
-      (bytes / 1024) n_tokens;
-    pf "tokenize: %.3fs (%.1f MB/s)@." t_tok
-      (float_of_int bytes /. t_tok /. 1e6);
-    pf "call graph: %.3fs (%d functions, %d edges, %d parallel seeds)@."
-      t_graph s.Lint.Effects.s_functions s.Lint.Effects.s_edges
-      s.Lint.Effects.s_seeds;
-    pf "effects: %.3fs (%d reachable, %d findings pre-suppression)@." t_eff
-      s.Lint.Effects.s_reachable (List.length findings)
-  end
+  else
+    match
+      let t0 = Unix.gettimeofday () in
+      let units = Lint.Engine.load ~lib_only:true "." in
+      (units, Unix.gettimeofday () -. t0)
+    with
+    | exception Lint.Typed.Stale msg -> pf "lint: %s; skipped@." msg
+    | units, t_load ->
+      let files = List.filter Lint.Typed.is_source units in
+      let t1 = Unix.gettimeofday () in
+      let g = Lint.Callgraph.build units in
+      let t_graph = Unix.gettimeofday () -. t1 in
+      let t2 = Unix.gettimeofday () in
+      let a = Lint.Effects.analyze g in
+      let findings = Lint.Effects.findings a in
+      let t_eff = Unix.gettimeofday () -. t2 in
+      let s = Lint.Effects.stats a in
+      Obs.add (Obs.counter "bench.lint.files") (List.length files);
+      Obs.add (Obs.counter "bench.lint.functions") s.Lint.Effects.s_functions;
+      Obs.add (Obs.counter "bench.lint.edges") s.Lint.Effects.s_edges;
+      Obs.add (Obs.counter "bench.lint.seeds") s.Lint.Effects.s_seeds;
+      Obs.add (Obs.counter "bench.lint.reachable") s.Lint.Effects.s_reachable;
+      pf "load: %.3fs (%d .cmt typed trees, %d generated alias modules)@."
+        t_load (List.length files)
+        (List.length units - List.length files);
+      pf "call graph: %.3fs (%d functions, %d edges, %d parallel seeds)@."
+        t_graph s.Lint.Effects.s_functions s.Lint.Effects.s_edges
+        s.Lint.Effects.s_seeds;
+      pf "effects: %.3fs (%d reachable, %d findings pre-suppression)@." t_eff
+        s.Lint.Effects.s_reachable (List.length findings)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -1402,11 +1393,18 @@ let () =
       { Core.Experiments.quick with instances = 2; jobs = !jobs }
     else { Core.Experiments.default with jobs = !jobs }
   in
-  (* the n = 500 radius sweeps are the heavy ones: fewer vertex sets *)
-  let cfg_sweep =
-    { cfg with Core.Experiments.instances = (if quick then 2 else 5) }
-  in
+  (* the n = 500 radius sweeps are the heavy ones: fewer vertex sets.
+     The paper puts n = 500 on a 200x200 square; quick mode's smaller n
+     keeps that density by shrinking the side, so the same radii still
+     yield connected instances. *)
   let n_sweep = if quick then 150 else 500 in
+  let cfg_sweep =
+    {
+      cfg with
+      Core.Experiments.instances = (if quick then 2 else 5);
+      side = 200. *. sqrt (float_of_int n_sweep /. 500.);
+    }
+  in
   let all = args = [] in
   let want name = all || List.mem name args in
   (* with --stats each artifact gets its own isolated work account:

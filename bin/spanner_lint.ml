@@ -3,7 +3,8 @@
    Exit codes are part of the contract:
      0  clean (no unsuppressed findings)
      1  unsuppressed findings (or, under --strict, stale baseline entries)
-     2  usage error (unknown flag / rule, unreadable root or baseline)
+     2  usage error (unknown flag / rule, unreadable root or baseline),
+        or a scanned .ml whose .cmt is missing or out of date
 
    Arguments are parsed by hand rather than through Cmdliner so the
    usage-error exit code stays exactly 2. *)
@@ -13,7 +14,8 @@ let usage =
   \       spanner_lint graph [--root DIR] [--dot FILE] [--summary FUNC] \
    [--json]\n\n\
    Lint the repository's OCaml sources against the project invariants\n\
-   (determinism, float robustness, multicore safety, hygiene).  The\n\
+   (determinism, float robustness, multicore safety, hygiene).  Rules\n\
+   read the compiler's typed trees: run `dune build @check` first.  The\n\
    determinism/multicore rules are interprocedural: effect summaries are\n\
    propagated over the call graph and findings fire only on sites\n\
    reachable from a Netgraph.Pool parallel callback, with the witness\n\
@@ -57,15 +59,17 @@ let list_rules () =
 
 (* ---------- graph subcommand ---------- *)
 
+(* a missing or stale .cmt is an input error, like an unreadable root *)
+let die_stale msg =
+  prerr_endline ("spanner_lint: " ^ msg);
+  exit 2
+
 let load_analysis root =
   if not (Sys.file_exists root && Sys.is_directory root) then
     die_usage (Printf.sprintf "root %S is not a directory" root);
-  let lib_files =
-    Lint.Engine.project_files root
-    |> List.filter (fun (p, _) ->
-           String.length p > 4 && String.sub p 0 4 = "lib/")
-  in
-  Lint.Effects.analyze (Lint.Callgraph.of_sources lib_files)
+  match Lint.Engine.load ~lib_only:true root with
+  | units -> Lint.Effects.analyze (Lint.Callgraph.build units)
+  | exception Lint.Typed.Stale msg -> die_stale msg
 
 let run_graph args =
   let root = ref "." in
@@ -119,6 +123,9 @@ let run_graph args =
 (* ---------- main lint driver ---------- *)
 
 let () =
+  (* the loaded typed trees stay live until exit, so major-GC marking
+     of them is wasted work in this short batch run *)
+  Gc.set { (Gc.get ()) with space_overhead = 1000 };
   let args = Array.to_list Sys.argv |> List.tl in
   (match args with "graph" :: rest -> run_graph rest | _ -> ());
   let root = ref "." in
@@ -190,7 +197,10 @@ let () =
       else if explicit then die_usage (Printf.sprintf "no baseline %S" path)
       else []
   in
-  let res = Lint.Engine.run ?only ~baseline !root in
+  let res =
+    try Lint.Engine.run ?only ~baseline !root
+    with Lint.Typed.Stale msg -> die_stale msg
+  in
   (match !write_baseline with
   | Some file ->
     let all = res.findings @ List.map fst res.grandfathered in

@@ -1,1016 +1,547 @@
-(* A lightweight structural parser over the token stream: enough of
-   OCaml's module and binding structure to build a call graph of the
-   repo's own sources, never a full parser.  It extracts top-level and
-   nested-module [let]/[let rec]/[external] bindings, local
-   [let ... in] bindings inside bodies, module aliases and functor
-   instantiations, [open]s (file-level and [let open]/[M.(...)]
-   local), and one call edge per identifier that resolves to a known
-   binding.  Resolution is deliberately conservative: where OCaml's
-   scoping rules would need types we over-approximate (all same-name
-   locals of the enclosing binding shadow the unit, every [open] in
-   scope contributes candidates), so the graph may carry edges the
-   compiler would not create but never misses one the heuristics can
-   see.  Layout assumptions (structure items start at column
-   1 + 2*nesting, a module's [end] returns to the [module] keyword's
-   column) match the repo's enforced ocamlformat style; DESIGN.md §15
-   documents them as known approximations. *)
+(* The call graph of the repo's own sources, read off the compiler's
+   typed trees.  Every identifier carries the exact [Path.t] the
+   typechecker resolved (opens, shadowing and functor parameters are
+   already decided), so the graph only has to name things: a def is a
+   value binding (toplevel, nested-module, functor-body or local) or a
+   seeded Pool callback lambda, and a reference is a [Texp_ident] whose
+   path, after module aliases are expanded, names a def.
 
-module T = Tokenizer
+   Paths are kept in the display form the reports print: a unit is
+   named by its source path ([lib/netgraph/pool.ml] is [Netgraph.Pool],
+   the library root [lib/obs/obs.ml] is [Obs]), and dune's mangled
+   unit names ([Netgraph__Pool]) are mapped back the same way, so the
+   aliases dune generates for a wrapped library resolve to the unit
+   they name. *)
 
-type def_kind =
-  | Toplevel  (* unit- or nested-module-level binding *)
-  | Init      (* [let () = ...] structure item *)
-  | Local     (* [let ... in] inside a body *)
-  | Lambda    (* anonymous [fun]/[function] at a Pool callback site *)
+open Typedtree
+
+type def_kind = Toplevel | Init | Local | Lambda
 
 type def = {
   id : int;
-  name : string;  (* qualified, e.g. [Netgraph.Pool.parallel_for];
-                     bare for [Local], [Parent.<fun:LINE>] for lambdas *)
+  name : string;
   kind : def_kind;
-  unit_ : int;  (* index into [units] *)
+  unit_ : int;
   line : int;
   col : int;
-  parent : int;  (* enclosing def id for Local/Lambda, -1 otherwise *)
+  parent : int;
   is_function : bool;
-  mutable_global : bool;  (* non-function toplevel binding holding mutable state *)
-  guarded : bool;  (* Atomic/DLS/Mutex in the binding, or annotated domain-local *)
+  mutable_global : bool;
+  guarded : bool;
+  has_guard : bool;
+  has_try : bool;
+}
+
+type ref_ = {
+  r_path : string;
+  r_text : string;
+  r_def : int;
+  r_line : int;
+  r_col : int;
+  r_sorted : bool;
 }
 
 type seed_site = { site_unit : int; site_line : int; site_col : int }
 
-type unit_info = {
-  u_path : string;  (* repo-relative .ml path *)
-  u_module : string;  (* canonical module prefix, e.g. [Netgraph.Pool] *)
-  u_lib : string option;  (* library dir name for lib/<d>/<f>.ml *)
-  u_code : T.token array;  (* comments stripped *)
-  u_comments : T.token list;
-  u_lines : string array;
-  u_has_mli : bool;
-  u_mli_vals : (string * int) list;  (* exported qualified value, mli line *)
-  u_mli_hazard : bool;  (* include / functor / module type in the mli *)
-  u_ml_hazard : bool;  (* include in the ml: surface not parseable *)
-}
-
 type t = {
-  units : unit_info array;
+  units : Typed.t array;
   defs : def array;
-  calls : (int * int * int) list array;  (* per def: callee, line, col *)
-  owner : int array array;  (* per unit: token index -> def id or -1 *)
-  resolved : int list array array;  (* per unit: token index -> def ids *)
-  seeds : (int * seed_site) list;  (* parallel-region root defs *)
-  by_name : (string, int list) Hashtbl.t;  (* toplevel defs by full name *)
+  refs : ref_ list array;
+  calls : (int * int * int) list array;
+  seeds : (int * seed_site) list;
+  by_name : (string, int) Hashtbl.t;
 }
-
-(* ---------- small shared helpers ---------- *)
-
-let keywords =
-  [
-    "let"; "in"; "fun"; "function"; "match"; "with"; "if"; "then"; "else";
-    "type"; "of"; "rec"; "and"; "begin"; "end"; "struct"; "sig"; "module";
-    "open"; "include"; "val"; "external"; "mutable"; "while"; "for"; "do";
-    "done"; "to"; "downto"; "try"; "when"; "as"; "lazy"; "assert"; "true";
-    "false"; "exception"; "new"; "method"; "object"; "constraint"; "inherit";
-    "initializer"; "nonrec"; "private"; "virtual"; "lor"; "land"; "lxor";
-    "lsl"; "lsr"; "asr"; "mod"; "or"; "not"; "ignore"; "ref";
-  ]
-
-let is_keyword s = List.mem s keywords
-
-let is_cap s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-
-let cap = String.capitalize_ascii
 
 (* lib/<dir>/<file>.ml under a wrapped dune library: module is
    [Cap dir].[Cap file], except the library's root module (file named
    after the dir) which is just [Cap dir]. *)
 let module_prefix_of_path path =
+  let cap = String.capitalize_ascii in
   let base = cap (Filename.remove_extension (Filename.basename path)) in
   match String.split_on_char '/' path with
-  | "lib" :: dir :: _ ->
-    let d = cap dir in
-    ((if d = base then d else d ^ "." ^ base), Some dir)
-  | _ -> (base, None)
+  | "lib" :: dir :: _ -> if cap dir = base then base else cap dir ^ "." ^ base
+  | _ -> base
 
-let mutable_ctor (t : T.token) =
-  t.T.kind = T.Ident
-  && (t.T.text = "ref"
-     || (T.has_component t "Hashtbl" && T.last_component t = "create")
-     || (T.has_component t "Array"
-        &&
-        match T.last_component t with
-        | "make" | "create_float" | "make_matrix" -> true
-        | _ -> false)
-     || (T.has_component t "Bytes" && T.last_component t = "create")
-     || (T.has_component t "Buffer" && T.last_component t = "create")
-     || (T.has_component t "Queue" && T.last_component t = "create")
-     || (T.has_component t "Stack" && T.last_component t = "create"))
+let mutable_ctor path =
+  path = "Stdlib.ref"
+  || (List.exists
+        (fun m -> Typed.starts_with ("Stdlib." ^ m ^ ".") path)
+        [ "Hashtbl"; "Bytes"; "Buffer"; "Queue"; "Stack" ]
+     && Typed.last_component path = "create")
+  || Typed.starts_with "Stdlib.Array." path
+     && List.mem (Typed.last_component path) [ "make"; "create_float"; "make_matrix" ]
 
-let domain_safe (t : T.token) =
-  t.T.kind = T.Ident
-  && (T.has_component t "Atomic" || T.has_component t "DLS"
-    || T.has_component t "Mutex")
+let is_guard path =
+  List.exists
+    (fun m -> Typed.starts_with m path)
+    [ "Stdlib.Atomic."; "Stdlib.Domain.DLS."; "Stdlib.Mutex." ]
 
-let contains_sub needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
+let pool_names =
+  [ "Netgraph.Pool.parallel_for"; "Netgraph.Pool.parallel_for_slots" ]
 
-(* ---------- per-unit structural parse ---------- *)
+(* ---------- build state ---------- *)
 
-type raw_def = {
-  rd_name : string;
-  rd_kind : def_kind;
-  rd_line : int;
-  rd_col : int;
-  rd_parent : int;  (* raw index, -1 *)
-  rd_is_function : bool;
-  rd_mutable_global : bool;
-  rd_guarded : bool;
-  mutable rd_opens : string list;  (* local opens collected in the body *)
+type binding = Value of int | Module of string list
+
+type unit_env = {
+  ui : int;
+  prefix : string;  (* display name of the unit *)
+  u : Typed.t;
+  idents : (Ident.t, binding) Hashtbl.t;
+  wrappers : (Ident.t, int list) Hashtbl.t;
+      (* functions forwarding these argument positions to a Pool entry *)
 }
 
-type raw_unit = {
-  pdefs : raw_def array;
-  powner : int array;  (* token -> raw def index or -1 *)
-  popens : string list;  (* file-level opens *)
-  paliases : (string * string) list;  (* module alias / functor app *)
+(* Defs are created with the body-derived flags unset; [build] fills
+   them in from [refs] and [tries] once every body is walked. *)
+type state = {
+  defs : (int, def) Hashtbl.t;
+  refs : (int, ref_ list) Hashtbl.t;  (* reversed *)
+  tries : (int, unit) Hashtbl.t;
+  names : (string, int) Hashtbl.t;  (* qualified toplevel name -> def *)
+  aliases : (string, string list) Hashtbl.t;  (* module -> target *)
+  display_of_mod : (string, string) Hashtbl.t;  (* Netgraph__Pool -> Netgraph.Pool *)
+  mutable seeds : (int * seed_site) list;  (* reversed *)
+  mutable jobs : (unit_env * int * expression) list;  (* reversed *)
 }
 
-let is_item_kw = function
-  | "let" | "and" | "type" | "module" | "open" | "include" | "exception"
-  | "external" | "class" ->
-    true
-  | _ -> false
+let new_def st env ~kind ~name ~parent ~is_function ?(annotated = false)
+    (line, col) =
+  let id = Hashtbl.length st.defs in
+  Hashtbl.replace st.defs id
+    {
+      id;
+      name;
+      kind;
+      unit_ = env.ui;
+      line;
+      col;
+      parent;
+      is_function;
+      mutable_global = false;
+      guarded = annotated;
+      has_guard = false;
+      has_try = false;
+    };
+  id
 
-let parse_ml ~prefix (code : T.token array) (comments : T.token list) =
-  let n = Array.length code in
-  let text i = if i >= 0 && i < n then code.(i).T.text else "" in
-  let kindof i = if i >= 0 && i < n then code.(i).T.kind else T.Comment in
-  let rev_defs = ref [] and ndefs = ref 0 in
-  let push rd =
-    rev_defs := rd :: !rev_defs;
-    incr ndefs;
-    !ndefs - 1
+(* Components of a module or value path as written, with this unit's
+   own module names and aliases substituted. *)
+let rec components env = function
+  | Path.Pident id -> (
+    match Hashtbl.find_opt env.idents id with
+    | Some (Module c) -> c
+    | _ -> [ Ident.name id ])
+  | Path.Pdot (p, s) -> components env p @ [ s ]
+  | Path.Papply (f, _) -> components env f
+  | Path.Pextra_ty (p, _) -> components env p
+
+(* Canonical display name: unit heads mapped to their display names,
+   then every module prefix expanded through the alias table. *)
+let head st h = Option.value ~default:h (Hashtbl.find_opt st.display_of_mod h)
+
+let canonical st comps =
+  let rec expand fuel key =
+    match Hashtbl.find_opt st.aliases key with
+    | Some target when fuel > 0 -> resolve (fuel - 1) target
+    | _ -> key
+  and resolve fuel = function
+    | [] -> ""
+    | h :: rest ->
+      List.fold_left
+        (fun acc c -> expand fuel (acc ^ "." ^ c))
+        (expand fuel (head st h))
+        rest
   in
-  let owner = Array.make (max n 1) (-1) in
-  let opens = ref [] and aliases = ref [] in
-  let annotated_lines =
-    List.filter_map
-      (fun (c : T.token) ->
-        if contains_sub "lint: domain-local" c.T.text then Some c.T.line
-        else None)
-      comments
+  resolve 16 comps
+
+(* ---------- structure walk: defs, module aliases, jobs ---------- *)
+
+let rec alias_target env me =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some (components env p)
+  | Tmod_apply (f, _, _) | Tmod_apply_unit f -> alias_target env f
+  | Tmod_constraint (me, _, _, _) -> alias_target env me
+  | Tmod_structure _ | Tmod_functor _ | Tmod_unpack _ -> None
+
+(* a (* lint: domain-local ... *) comment on the binding or just above *)
+let annotated env first last =
+  List.exists
+    (fun l -> Typed.find_sub "lint: domain-local" (Typed.excerpt env.u l) <> None)
+    (List.init (last - first + 2) (fun i -> first - 1 + i))
+
+let is_fun e = match e.exp_desc with Texp_function _ -> true | _ -> false
+
+let rec walk_structure st env q (s : structure) =
+  List.iter (walk_item st env q) s.str_items
+
+and walk_item st env q item =
+  let qualify n = String.concat "." (q @ [ n ]) in
+  match item.str_desc with
+  | Tstr_value (_, vbs) ->
+    List.iteri
+      (fun i vb ->
+        let ((line, _) as pos) =
+          Typed.pos (if i = 0 then item.str_loc else vb.vb_loc)
+        in
+        let ids = pat_bound_idents vb.vb_pat in
+        let kind, name =
+          match ids with
+          | [] -> (Init, Printf.sprintf "<init:%d>" line)
+          | id :: _ -> (Toplevel, Ident.name id)
+        in
+        let d =
+          new_def st env ~kind ~name:(qualify name) ~parent:(-1)
+            ~is_function:(is_fun vb.vb_expr)
+            ~annotated:(annotated env line vb.vb_loc.loc_end.pos_lnum)
+            pos
+        in
+        List.iter
+          (fun id ->
+            Hashtbl.replace env.idents id (Value d);
+            Hashtbl.replace st.names (qualify (Ident.name id)) d)
+          ids;
+        st.jobs <- (env, d, vb.vb_expr) :: st.jobs)
+      vbs
+  | Tstr_eval (e, _) ->
+    let ((line, _) as pos) = Typed.pos item.str_loc in
+    let d =
+      new_def st env ~kind:Init
+        ~name:(qualify (Printf.sprintf "<init:%d>" line))
+        ~parent:(-1) ~is_function:false pos
+    in
+    st.jobs <- (env, d, e) :: st.jobs
+  | Tstr_module mb -> walk_module_binding st env q mb
+  | Tstr_recmodule mbs -> List.iter (walk_module_binding st env q) mbs
+  | Tstr_include incl -> walk_module_expr st env q incl.incl_mod
+  | _ -> ()
+
+and walk_module_binding st env q mb =
+  let q' = q @ [ Option.fold ~none:"_" ~some:Ident.name mb.mb_id ] in
+  let bound =
+    match alias_target env mb.mb_expr with
+    | Some target ->
+      (* an alias or functor application names its target's members;
+         dune's wrapper aliases ([module Pool = Netgraph__Pool]) already
+         name their target in display form *)
+      let key = String.concat "." q' in
+      (match target with
+      | h :: rest when String.concat "." (head st h :: rest) = key -> ()
+      | _ -> Hashtbl.replace st.aliases key target);
+      target
+    | None -> q'
   in
-  (* module nesting: (name, declaration column) *)
-  let mstack = ref [] in
-  let item_col () = 1 + (2 * List.length !mstack) in
-  let qualify name =
-    let nested = List.rev_map fst !mstack in
-    String.concat "." ((prefix :: nested) @ [ name ])
+  Option.iter (fun id -> Hashtbl.replace env.idents id (Module bound)) mb.mb_id;
+  walk_module_expr st env q' mb.mb_expr
+
+and walk_module_expr st env q me =
+  match me.mod_desc with
+  | Tmod_structure s -> walk_structure st env q s
+  | Tmod_functor (_, body) -> walk_module_expr st env q body
+  | Tmod_apply (f, arg, _) ->
+    walk_module_expr st env q f;
+    walk_module_expr st env q arg
+  | Tmod_apply_unit f -> walk_module_expr st env q f
+  | Tmod_constraint (me, _, _, _) -> walk_module_expr st env q me
+  | Tmod_ident _ | Tmod_unpack _ -> ()
+
+(* ---------- Pool wrappers ----------
+
+   A function that hands one of its own parameters to a Pool entry
+   point ([let for_tiles body = Pool.parallel_for p ~n (fun () -> body)])
+   runs its caller's argument in the parallel region, so its call
+   sites seed like Pool call sites do, at those argument positions. *)
+
+let rec params e =
+  match e.exp_desc with
+  | Texp_function { cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ } ->
+    let id =
+      match c_lhs.pat_desc with
+      | Tpat_var (id, _) | Tpat_alias (_, id, _) -> Some id
+      | _ -> None
+    in
+    let ps, body = params c_rhs in
+    (id :: ps, body)
+  | _ -> ([], e)
+
+let find_wrappers st env (s : structure) =
+  let is_pool e =
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
+      List.mem (canonical st (components env p)) pool_names
+    | _ -> false
   in
-  let at_item i =
-    i < n
-    &&
-    let t = code.(i) in
-    t.T.kind = T.Ident && t.T.col = item_col () && is_item_kw t.T.text
-  in
-  (* end of the structure item starting at [i]: the next item keyword
-     at the current item column, an [end] at an enclosing module's
-     declaration column, or EOF *)
-  let item_end i =
-    let stop = ref (i + 1) and fin = ref false in
-    while not !fin do
-      if !stop >= n then fin := true
-      else
-        let t = code.(!stop) in
-        if at_item !stop then fin := true
-        else if
-          t.T.kind = T.Ident && t.T.text = "end"
-          && List.exists (fun (_, c) -> c = t.T.col) !mstack
-        then fin := true
-        else incr stop
-    done;
-    !stop
-  in
-  (* binding header starting at [j] (after let/rec): bound names and
-     the index of the first '=' at bracket depth 0 (or [bound]) *)
-  let header j bound =
-    let depth = ref 0 and eq = ref bound in
-    let k = ref j in
-    while !eq = bound && !k < bound do
-      (match (kindof !k, text !k) with
-      | T.Op, ("(" | "[" | "{") -> incr depth
-      | T.Op, (")" | "]" | "}") -> decr depth
-      | T.Op, "=" when !depth = 0 -> eq := !k
+  (* positions of [ps] named inside a Pool application's arguments *)
+  let forwarded ps body =
+    let depth = ref 0 and used = ref [] in
+    let expr sub e =
+      (match e.exp_desc with
+      | Texp_ident (Path.Pident id, _, _) when !depth > 0 -> used := id :: !used
       | _ -> ());
-      incr k
-    done;
-    let plain nm = (not (is_keyword nm)) && nm <> "_" && not (is_cap nm) in
-    let names =
-      match (kindof j, text j) with
-      | T.Ident, name when (not (is_keyword name)) && name <> "_" ->
-        (* also collect [let a, b = ...] tuple components *)
-        let rec more acc k =
-          if text k = "," && kindof (k + 1) = T.Ident && plain (text (k + 1))
-          then more (text (k + 1) :: acc) (k + 2)
-          else List.rev acc
-        in
-        more [ name ] (j + 1)
-      | T.Op, "(" when kindof (j + 1) = T.Op && text (j + 2) = ")" ->
-        [ text (j + 1) ]  (* operator definition *)
-      | T.Op, ("(" | "{") ->
-        (* tuple / record pattern: every plain ident up to '=' binds *)
-        let out = ref [] in
-        for k = j to !eq - 1 do
-          if
-            kindof k = T.Ident && plain (text k)
-            && not (List.mem (text k) !out)
-          then out := text k :: !out
-        done;
-        List.rev !out
-      | _ -> []
+      let pool = is_pool e in
+      if pool then incr depth;
+      Tast_iterator.default_iterator.expr sub e;
+      if pool then decr depth
     in
-    (names, !eq)
+    let it = { Tast_iterator.default_iterator with expr } in
+    it.expr it body;
+    List.concat
+      (List.mapi
+         (fun i p ->
+           match p with
+           | Some id when List.exists (Ident.same id) !used -> [ i ]
+           | _ -> [])
+         ps)
   in
-  (* scan a binding body for local [let]s, [let open]s and [M.(...)]
-     opens; assigns token owners.  [parent_idx] owns everything not
-     claimed by a local. *)
-  let scan_body parent_idx lo hi =
-    let local_opens = ref [] in
-    let stack = ref [] in  (* (raw def idx, bracket depth at its let) *)
-    let depth = ref 0 in
-    let set_owner k =
-      owner.(k) <- (match !stack with (d, _) :: _ -> d | [] -> parent_idx)
-    in
-    let k = ref lo in
-    while !k < hi do
-      let t = code.(!k) in
-      (match (t.T.kind, t.T.text) with
-      | T.Op, ("(" | "[" | "{") ->
-        set_owner !k;
-        incr depth
-      | T.Op, (")" | "]" | "}") ->
-        decr depth;
-        let rec pop () =
-          match !stack with
-          | (_, d) :: rest when d > !depth ->
-            stack := rest;
-            pop ()
-          | _ -> ()
-        in
-        pop ();
-        set_owner !k
-      | T.Ident, "in" ->
-        (match !stack with
-        | (_, d) :: rest when d = !depth -> stack := rest
-        | _ -> ());
-        set_owner !k
-      | T.Ident, "let" when text (!k + 1) = "open" ->
-        (match (kindof (!k + 2), text (!k + 2)) with
-        | T.Ident, m when is_cap m -> local_opens := m :: !local_opens
-        | _ -> ());
-        set_owner !k
-      | T.Ident, "let" when text (!k + 1) = "module" -> set_owner !k
-      | T.Ident, ("let" | "and") -> (
-        let is_and = t.T.text = "and" in
-        let group_open =
-          match !stack with (_, d) :: _ -> d = !depth | [] -> false
-        in
-        if is_and && not group_open then set_owner !k
-        else begin
-          if is_and then
-            match !stack with _ :: rest -> stack := rest | [] -> ()
-        end;
-        if (not is_and) || group_open then
-          let j = if text (!k + 1) = "rec" then !k + 2 else !k + 1 in
-          let names, eq = header j hi in
-          match names with
-          | name :: _ when eq < hi ->
-            let is_fn =
-              (eq > j + 1 && text (j + 1) <> ":")
-              ||
-              match (kindof (eq + 1), text (eq + 1)) with
-              | T.Ident, ("fun" | "function") -> true
-              | _ -> false
-            in
-            let d =
-              push
-                {
-                  rd_name = name;
-                  rd_kind = Local;
-                  rd_line = t.T.line;
-                  rd_col = t.T.col;
-                  rd_parent = parent_idx;
-                  rd_is_function = is_fn;
-                  rd_mutable_global = false;
-                  rd_guarded = false;
-                  rd_opens = [];
-                }
-            in
-            (* header tokens stay with the previous owner *)
-            for x = !k to min eq (hi - 1) do
-              set_owner x
-            done;
-            stack := (d, !depth) :: !stack;
-            k := eq
-          | _ -> set_owner !k)
-      | T.Ident, m
-        when is_cap m
-             && (not (String.contains m '.'))
-             && text (!k + 1) = "."
-             && text (!k + 2) = "(" ->
-        (* [M.(...)] local open, scoped (over-approximately) to the
-           whole binding *)
-        local_opens := m :: !local_opens;
-        set_owner !k
-      | _ -> set_owner !k);
-      incr k
-    done;
-    !local_opens
-  in
-  (* main structure walk *)
-  let i = ref 0 in
-  let prev_item = ref "" in
-  while !i < n do
-    let t = code.(!i) in
-    if
-      t.T.kind = T.Ident && t.T.text = "end"
-      && (match !mstack with (_, c) :: _ -> c = t.T.col | [] -> false)
-    then begin
-      mstack := List.tl !mstack;
-      incr i
-    end
-    else if at_item !i then begin
-      match t.T.text with
-      | "open" ->
-        (match (kindof (!i + 1), text (!i + 1)) with
-        | T.Ident, m when is_cap m -> opens := m :: !opens
-        | _ -> ());
-        prev_item := "open";
-        i := item_end !i
-      | "module" ->
-        prev_item := "module";
-        if text (!i + 1) = "type" then i := item_end !i
-        else begin
-          let name = text (!i + 1) in
-          let s = item_end !i in
-          (* '=' at depth 0, outside any sig/struct block before it *)
-          let eq = ref (-1) and depth = ref 0 and blk = ref 0 in
-          let k = ref (!i + 2) in
-          while !eq < 0 && !k < s do
-            (match (kindof !k, text !k) with
-            | T.Op, ("(" | "[" | "{") -> incr depth
-            | T.Op, (")" | "]" | "}") -> decr depth
-            | T.Ident, ("sig" | "struct" | "begin" | "object") -> incr blk
-            | T.Ident, "end" -> decr blk
-            | T.Op, "=" when !depth = 0 && !blk = 0 -> eq := !k
-            | _ -> ());
-            incr k
-          done;
-          if !eq < 0 then i := s
-          else
-            match (kindof (!eq + 1), text (!eq + 1)) with
-            | T.Ident, "struct" ->
-              (* module or functor body: descend *)
-              mstack := (name, t.T.col) :: !mstack;
-              i := !eq + 2
-            | T.Ident, target when is_cap target ->
-              (* alias or functor instantiation: both map [name] to
-                 the target's head path *)
-              aliases := (name, target) :: !aliases;
-              i := s
-            | _ -> i := s
-        end
-      | "include" | "type" | "exception" | "class" ->
-        prev_item := t.T.text;
-        i := item_end !i
-      | "external" ->
-        prev_item := "let";
-        let s = item_end !i in
-        let name =
-          match (kindof (!i + 1), text (!i + 1)) with
-          | T.Ident, nm when not (is_keyword nm) -> Some nm
-          | T.Op, "(" when kindof (!i + 2) = T.Op -> Some (text (!i + 2))
-          | _ -> None
-        in
-        (match name with
-        | Some nm ->
-          ignore
-            (push
-               {
-                 rd_name = qualify nm;
-                 rd_kind = Toplevel;
-                 rd_line = t.T.line;
-                 rd_col = t.T.col;
-                 rd_parent = -1;
-                 rd_is_function = true;
-                 rd_mutable_global = false;
-                 rd_guarded = false;
-                 rd_opens = [];
-               })
-        | None -> ());
-        i := s
-      | "let" | "and" ->
-        if t.T.text = "and" && !prev_item <> "let" then i := item_end !i
-        else begin
-          prev_item := "let";
-          let s = item_end !i in
-          let j = if text (!i + 1) = "rec" then !i + 2 else !i + 1 in
-          let names, eq = header j s in
-          let last_line =
-            if s - 1 >= 0 && s - 1 < n then code.(s - 1).T.line else t.T.line
-          in
-          let is_fn =
-            (match names with
-            | [ _ ] -> eq > j + 1 && text (j + 1) <> ":"
-            | _ -> false)
-            ||
-            match (kindof (eq + 1), text (eq + 1)) with
-            | T.Ident, ("fun" | "function") -> true
-            | _ -> false
-          in
-          let mut = ref false and safe = ref false in
-          if not is_fn then
-            for k = eq + 1 to s - 1 do
-              if mutable_ctor code.(k) then mut := true;
-              if domain_safe code.(k) then safe := true
-            done;
-          let annotated =
-            List.exists
-              (fun l -> l >= t.T.line - 1 && l <= last_line)
-              annotated_lines
-          in
-          let kind = if names = [] then Init else Toplevel in
-          let name =
-            match names with
-            | [] -> qualify (Printf.sprintf "<init:%d>" t.T.line)
-            | nm :: _ -> qualify nm
-          in
-          let rd =
-            {
-              rd_name = name;
-              rd_kind = kind;
-              rd_line = t.T.line;
-              rd_col = t.T.col;
-              rd_parent = -1;
-              rd_is_function = is_fn;
-              rd_mutable_global = (!mut && kind = Toplevel);
-              rd_guarded = (!safe || annotated);
-              rd_opens = [];
-            }
-          in
-          let d = push rd in
-          for x = !i to min eq (s - 1) do
-            owner.(x) <- d
-          done;
-          if eq + 1 < s then rd.rd_opens <- scan_body d (eq + 1) s;
-          (* extra tuple/record pattern names bind alongside the first *)
-          (match names with
-          | _ :: (_ :: _ as rest) ->
-            List.iter
-              (fun nm ->
-                ignore
-                  (push
-                     {
-                       rd_name = qualify nm;
-                       rd_kind = Toplevel;
-                       rd_line = t.T.line;
-                       rd_col = t.T.col;
-                       rd_parent = -1;
-                       rd_is_function = false;
-                       rd_mutable_global = !mut;
-                       rd_guarded = !safe || annotated;
-                       rd_opens = [];
-                     }))
-              rest
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      value_binding =
+        (fun sub vb ->
+          (match (pat_bound_idents vb.vb_pat, params vb.vb_expr) with
+          | [ f ], ((_ :: _ as ps), body) -> (
+            match forwarded ps body with
+            | [] -> ()
+            | at -> Hashtbl.replace env.wrappers f at)
           | _ -> ());
-          i := s
-        end
-      | _ -> incr i
-    end
-    else incr i
-  done;
-  {
-    pdefs = Array.of_list (List.rev !rev_defs);
-    powner = owner;
-    popens = List.rev !opens;
-    paliases = !aliases;
-  }
+          Tast_iterator.default_iterator.value_binding sub vb);
+    }
+  in
+  it.structure it s
 
-(* ---------- .mli surface ---------- *)
+(* ---------- expression walk: references, locals, seeds ---------- *)
 
-let parse_mli ~prefix (code : T.token array) =
-  let n = Array.length code in
-  let text i = if i >= 0 && i < n then code.(i).T.text else "" in
-  let kindof i = if i >= 0 && i < n then code.(i).T.kind else T.Comment in
-  let vals = ref [] and hazard = ref false in
-  let mstack = ref [] in
-  let item_col () = 1 + (2 * List.length !mstack) in
-  let qualify name =
-    let nested = List.rev_map fst !mstack in
-    String.concat "." ((prefix :: nested) @ [ name ])
+(* Walks one binding's body with [owner] as the def executing it.
+   Local [let]s become defs of their own; a function argument of a
+   Pool entry point (or of a wrapper's forwarded position) is a seed —
+   a lambda as a fresh [Lambda] def, a named function (or a partial
+   application of one) as that def. *)
+let walk_body st env owner body =
+  let owner = ref owner and sorted = ref 0 in
+  let name d = (Hashtbl.find st.defs d).name in
+  let with_owner d f =
+    let o = !owner in
+    owner := d;
+    f ();
+    owner := o
   in
-  let i = ref 0 in
-  while !i < n do
-    let t = code.(!i) in
-    (if t.T.kind = T.Ident then
-       match t.T.text with
-       | "include" | "functor" -> hazard := true
-       | "end" -> (
-         match !mstack with
-         | (_, c) :: rest when c = t.T.col -> mstack := rest
-         | _ -> ())
-       | "module" when t.T.col = item_col () ->
-         if text (!i + 1) = "type" then hazard := true
-         else begin
-           (* [module M : sig] nests; [module M = Path] / [module M : S]
-              do not *)
-           let rec find_sig k =
-             if k > !i + 8 || k >= n then None
-             else if text k = "sig" then Some k
-             else if text k = "end" || text k = "val" then None
-             else find_sig (k + 1)
-           in
-           match find_sig (!i + 2) with
-           | Some _ -> mstack := (text (!i + 1), t.T.col) :: !mstack
-           | None -> ()
-         end
-       | ("val" | "external") when t.T.col = item_col () -> (
-         match (kindof (!i + 1), text (!i + 1)) with
-         | T.Ident, nm when not (is_keyword nm) ->
-           vals := (qualify nm, t.T.line) :: !vals
-         | T.Op, "(" when kindof (!i + 2) = T.Op ->
-           vals := (qualify (text (!i + 2)), t.T.line) :: !vals
-         | _ -> ())
-       | _ -> ());
-    incr i
-  done;
-  (List.rev !vals, !hazard)
-
-(* ---------- cross-unit build ---------- *)
-
-type source = {
-  s_path : string;
-  s_contents : string;
-  s_mli : string option;  (* sibling .mli contents, if any *)
-}
-
-let pool_names = [ "Netgraph.Pool.parallel_for"; "Netgraph.Pool.parallel_for_slots" ]
-
-(* textual fallback for projects that do not include Netgraph.Pool
-   itself (test fixtures): a dotted reference through a [Pool]
-   component ending in a parallel_for entry point *)
-let pool_seed_ref (t : T.token) =
-  T.has_component t "Pool"
-  &&
-  match T.last_component t with
-  | "parallel_for" | "parallel_for_slots" -> true
-  | _ -> false
-
-let split_lines s = Array.of_list (String.split_on_char '\n' s)
-
-let build (sources : source list) =
-  let sources = Array.of_list sources in
-  let nunits = Array.length sources in
-  (* 1. per-unit tokenize + structural parse *)
-  let raws = Array.make nunits { pdefs = [||]; powner = [||]; popens = []; paliases = [] } in
-  let units =
-    Array.mapi
-      (fun ui (s : source) ->
-        let prefix, lib = module_prefix_of_path s.s_path in
-        let tokens = T.tokenize s.s_contents in
-        let comments = List.filter (fun t -> t.T.kind = T.Comment) tokens in
-        let code =
-          Array.of_list (List.filter (fun t -> t.T.kind <> T.Comment) tokens)
-        in
-        raws.(ui) <- parse_ml ~prefix code comments;
-        let mli_vals, mli_hazard =
-          match s.s_mli with
-          | Some c ->
-            let mcode =
-              Array.of_list
-                (List.filter (fun t -> t.T.kind <> T.Comment) (T.tokenize c))
-            in
-            parse_mli ~prefix mcode
-          | None -> ([], false)
-        in
-        let ml_hazard =
-          Array.exists
-            (fun (t : T.token) -> t.T.kind = T.Ident && t.T.text = "include")
-            code
-        in
-        {
-          u_path = s.s_path;
-          u_module = prefix;
-          u_lib = lib;
-          u_code = code;
-          u_comments = comments;
-          u_lines = split_lines s.s_contents;
-          u_has_mli = s.s_mli <> None;
-          u_mli_vals = mli_vals;
-          u_mli_hazard = mli_hazard;
-          u_ml_hazard = ml_hazard;
-        })
-      sources
+  let resolve = function
+    | Path.Pident id when not (Ident.global id) -> (
+      match Hashtbl.find_opt env.idents id with
+      | Some (Value d) -> (name d, d)
+      | _ -> (Ident.name id, -1))
+    | p ->
+      let name = canonical st (components env p) in
+      (name, Option.value ~default:(-1) (Hashtbl.find_opt st.names name))
   in
-  (* 2. global def table over the per-unit raw defs *)
-  let base = Array.make (max nunits 1) 0 in
-  let total = ref 0 in
-  Array.iteri
-    (fun ui r ->
-      base.(ui) <- !total;
-      total := !total + Array.length r.pdefs)
-    raws;
-  let defs0 = Array.make !total None in
-  Array.iteri
-    (fun ui r ->
-      Array.iteri
-        (fun k rd ->
-          let id = base.(ui) + k in
-          defs0.(id) <-
-            Some
-              {
-                id;
-                name = rd.rd_name;
-                kind = rd.rd_kind;
-                unit_ = ui;
-                line = rd.rd_line;
-                col = rd.rd_col;
-                parent = (if rd.rd_parent >= 0 then base.(ui) + rd.rd_parent else -1);
-                is_function = rd.rd_is_function;
-                mutable_global = rd.rd_mutable_global;
-                guarded = rd.rd_guarded;
-              })
-        r.pdefs)
-    raws;
-  let defs0 =
-    Array.map
-      (function Some d -> d | None -> assert false (* every slot filled above *))
-      defs0
+  let rec head e =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> Some (resolve p)
+    | Texp_apply (f, _) -> head f
+    | _ -> None
   in
-  let ndefs0 = !total in
-  let owner =
-    Array.mapi
-      (fun ui _ ->
-        Array.map (fun r -> if r >= 0 then base.(ui) + r else -1) raws.(ui).powner)
-      units
+  let sorts e =
+    match head e with
+    | Some (name, _) ->
+      Typed.find_sub "sort" (String.lowercase_ascii (Typed.last_component name)) <> None
+    | None -> false
   in
-  (* 3. name index and library tables *)
-  let by_name = Hashtbl.create 256 in
-  if ndefs0 > 0 then
-    Array.iter
-      (fun (d : def) ->
-        if d.kind = Toplevel then
-          Hashtbl.replace by_name d.name
-            (match Hashtbl.find_opt by_name d.name with
-            | Some ids -> ids @ [ d.id ]
-            | None -> [ d.id ]))
-      defs0;
-  let lib_units = Hashtbl.create 32 in  (* (libdir, ModName) -> full prefix *)
-  let lib_names = Hashtbl.create 8 in  (* Cap libdir -> () *)
-  Array.iter
-    (fun (u : unit_info) ->
-      match u.u_lib with
-      | Some l ->
-        Hashtbl.replace lib_names (cap l) ();
-        let leaf =
-          match String.rindex_opt u.u_module '.' with
-          | Some i ->
-            String.sub u.u_module (i + 1) (String.length u.u_module - i - 1)
-          | None -> u.u_module
-        in
-        Hashtbl.replace lib_units (l, leaf) u.u_module
-      | None -> ())
-    units;
-  (* 4. reference resolution *)
-  let top_of id =
-    let rec go p = if defs0.(p).parent < 0 then p else go defs0.(p).parent in
-    if id >= 0 && id < ndefs0 then go id else -1
+  let seed d site =
+    if d >= 0 && not (List.mem (name d) pool_names) then
+      st.seeds <- (d, site) :: st.seeds
   in
-  let opens_of ui gid =
-    let r = raws.(ui) in
-    let rec up acc id =
-      if id < 0 || id >= ndefs0 then acc
-      else
-        let k = id - base.(ui) in
-        let acc =
-          if k >= 0 && k < Array.length r.pdefs then r.pdefs.(k).rd_opens @ acc
-          else acc
-        in
-        up acc defs0.(id).parent
-    in
-    up r.popens gid
+  (* which argument positions of [f] run in a parallel region *)
+  let parallel_args f =
+    match (f.exp_desc, head f) with
+    | _, Some (name, _) when List.mem name pool_names -> Some (fun _ -> true)
+    | Texp_ident (Path.Pident id, _, _), _ ->
+      Option.map (fun at i -> List.mem i at) (Hashtbl.find_opt env.wrappers id)
+    | _ -> None
   in
-  let split_head path =
-    match String.index_opt path '.' with
-    | Some i -> (String.sub path 0 i, String.sub path i (String.length path - i))
-    | None -> (path, "")
-  in
-  let alias_expand ui path =
-    let rec go path fuel =
-      if fuel = 0 then path
-      else
-        let head, rest = split_head path in
-        match List.assoc_opt head raws.(ui).paliases with
-        | Some target -> go (target ^ rest) (fuel - 1)
-        | None -> path
-    in
-    go path 8
-  in
-  (* canonicalize a dotted module path as referenced from [ui]:
-     expand aliases, then try the head as a module nested in this
-     unit before resolving it as a sibling unit through the enclosing
-     library's wrapping prefix.  Returns candidates most-local-first;
-     the caller keeps the first tier that hits. *)
-  let module_paths ui path =
-    let path = alias_expand ui path in
-    let head, _ = split_head path in
-    let canonical =
-      if Hashtbl.mem lib_names head then path
-      else
-        match units.(ui).u_lib with
-        | Some l when Hashtbl.mem lib_units (l, head) -> cap l ^ "." ^ path
-        | _ -> path
-    in
-    [ units.(ui).u_module ^ "." ^ path; canonical ]
-  in
-  let scopes_of_def gid =
-    (* enclosing module prefixes of the owning toplevel binding *)
-    let t = top_of gid in
-    if t < 0 then []
-    else
-      let rec chop acc s =
-        match String.rindex_opt s '.' with
-        | Some i ->
-          let p = String.sub s 0 i in
-          chop (p :: acc) p
-        | None -> acc
+  let rec callback sub site_expr a =
+    let line, col = Typed.pos site_expr.exp_loc in
+    let site = { site_unit = env.ui; site_line = line; site_col = col } in
+    match a.exp_desc with
+    | Texp_function _ ->
+      let ((line, _) as pos) = Typed.pos a.exp_loc in
+      let d =
+        new_def st env ~kind:Lambda
+          ~name:(Printf.sprintf "%s.<fun:%d>" (name !owner) line)
+          ~parent:!owner ~is_function:true pos
       in
-      List.rev (chop [] defs0.(t).name)
+      seed d site;
+      with_owner d (fun () -> default sub a)
+    | _ -> (
+      expr sub a;
+      match (Types.get_desc a.exp_type, head a) with
+      | Types.Tarrow _, Some (_, d) -> seed d site
+      | _ -> ())
+  and expr sub e =
+    match e.exp_desc with
+    | Texp_ident (p, lid, _) ->
+      let r_path, r_def = resolve p in
+      let r_line, r_col = Typed.pos e.exp_loc in
+      let r =
+        {
+          r_path;
+          r_text = String.concat "." (Longident.flatten lid.txt);
+          r_def;
+          r_line;
+          r_col;
+          r_sorted = !sorted > 0;
+        }
+      in
+      Hashtbl.replace st.refs !owner
+        (r :: Option.value ~default:[] (Hashtbl.find_opt st.refs !owner))
+    | Texp_let (_, vbs, body) ->
+      let locals =
+        List.mapi
+          (fun i vb ->
+            match pat_bound_idents vb.vb_pat with
+            | [] -> None
+            | id :: _ as ids ->
+              let d =
+                new_def st env ~kind:Local ~name:(Ident.name id)
+                  ~parent:!owner ~is_function:(is_fun vb.vb_expr)
+                  (Typed.pos (if i = 0 then e.exp_loc else vb.vb_loc))
+              in
+              List.iter (fun id -> Hashtbl.replace env.idents id (Value d)) ids;
+              Some d)
+          vbs
+      in
+      List.iter2
+        (fun vb d ->
+          match d with
+          | Some d -> with_owner d (fun () -> expr sub vb.vb_expr)
+          | None -> expr sub vb.vb_expr)
+        vbs locals;
+      expr sub body
+    | Texp_apply (f, args) when parallel_args f <> None ->
+      let par = Option.get (parallel_args f) in
+      expr sub f;
+      List.iteri
+        (fun i (_, a) ->
+          Option.iter (fun a -> if par i then callback sub f a else expr sub a) a)
+        args
+    | Texp_apply (f, args) ->
+      (* a sort applied to the result, directly or through a pipe,
+         fixes the order a Hashtbl traversal leaks *)
+      let pipe =
+        match head f with
+        | Some (name, _) -> List.mem name [ "Stdlib.|>"; "Stdlib.@@" ]
+        | None -> false
+      in
+      let sorting =
+        sorts f
+        || (pipe && List.exists (function _, Some a -> sorts a | _ -> false) args)
+      in
+      if sorting then incr sorted;
+      default sub e;
+      if sorting then decr sorted
+    | Texp_try _ ->
+      Hashtbl.replace st.tries !owner ();
+      default sub e
+    | Texp_match (_, cases, _)
+      when List.exists (fun c -> snd (split_pattern c.c_lhs) <> None) cases ->
+      Hashtbl.replace st.tries !owner ();
+      default sub e
+    | Texp_letmodule (Some id, _, _, me, _) ->
+      Option.iter
+        (fun target -> Hashtbl.replace env.idents id (Module target))
+        (alias_target env me);
+      default sub e
+    | _ -> default sub e
+  and default sub e = Tast_iterator.default_iterator.expr sub e in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it body
+
+(* ---------- assembly ---------- *)
+
+let build (units : Typed.t list) =
+  let units = Array.of_list units in
+  let st =
+    {
+      defs = Hashtbl.create 4096;
+      refs = Hashtbl.create 4096;
+      tries = Hashtbl.create 64;
+      names = Hashtbl.create 1024;
+      aliases = Hashtbl.create 256;
+      display_of_mod = Hashtbl.create 128;
+      seeds = [];
+      jobs = [];
+    }
   in
-  let resolve ui gid txt =
-    if is_keyword txt then []
-    else
-      let head, _ = split_head txt in
-      if head = txt && not (is_cap txt) then begin
-        (* bare lowercase name: locals shadow the unit, the unit
-           shadows opens *)
-        let t = top_of gid in
-        let local_hits =
-          if t < 0 then []
-          else begin
-            let out = ref [] in
-            let r = raws.(ui) in
-            Array.iteri
-              (fun k rd ->
-                let id = base.(ui) + k in
-                if rd.rd_kind = Local && rd.rd_name = txt && id <> gid
-                   && top_of id = t
-                then out := id :: !out)
-              r.pdefs;
-            List.rev !out
-          end
-        in
-        if local_hits <> [] then local_hits
-        else
-          let scopes =
-            match scopes_of_def gid with
-            | [] -> [ units.(ui).u_module ]
-            | s -> s
-          in
-          let unit_hits =
-            List.concat_map
-              (fun sc ->
-                match Hashtbl.find_opt by_name (sc ^ "." ^ txt) with
-                | Some ids -> ids
-                | None -> [])
-              scopes
-          in
-          if unit_hits <> [] then unit_hits
-          else
-            List.concat_map
-              (fun op ->
-                List.concat_map
-                  (fun mp ->
-                    match Hashtbl.find_opt by_name (mp ^ "." ^ txt) with
-                    | Some ids -> ids
-                    | None -> [])
-                  (module_paths ui op))
-              (opens_of ui gid)
-      end
-      else if is_cap head && head <> txt then begin
-        (* dotted path with a module head: nested module of this unit,
-           then the canonical (alias/library-expanded) path, then via
-           opens; first tier with hits wins *)
-        let candidates =
-          ((units.(ui).u_module ^ "." ^ txt) :: module_paths ui txt)
-          @ List.concat_map
-              (fun op -> List.map (fun mp -> mp ^ "." ^ txt) (module_paths ui op))
-              (opens_of ui gid)
-        in
-        let rec first = function
-          | [] -> []
-          | c :: rest -> (
-            match Hashtbl.find_opt by_name c with
-            | Some ids -> ids
-            | None -> first rest)
-        in
-        first candidates
-      end
-      else []
-  in
-  let resolved =
+  let envs =
     Array.mapi
-      (fun ui (u : unit_info) ->
-        Array.mapi
-          (fun k (t : T.token) ->
-            let o = owner.(ui).(k) in
-            if o < 0 || t.T.kind <> T.Ident then [] else resolve ui o t.T.text)
-          u.u_code)
+      (fun ui (u : Typed.t) ->
+        let prefix = module_prefix_of_path u.path in
+        Hashtbl.replace st.display_of_mod u.modname prefix;
+        let tbl () = Hashtbl.create 16 in
+        { ui; prefix; u; idents = tbl (); wrappers = tbl () })
       units
   in
-  (* 5. parallel seeds: Netgraph.Pool.parallel_for[_slots] call sites.
-     The callback argument extent is seeded, not the whole caller:
-     lambdas become fresh Lambda defs, named arguments seed the defs
-     they resolve to.  Post-join code stays outside the region. *)
-  let extras = ref [] and nextra = ref 0 in
-  let add_lambda d =
-    extras := d :: !extras;
-    incr nextra;
-    d.id
+  (* every unit's defs and aliases exist before any body is resolved *)
+  Array.iteri
+    (fun ui (u : Typed.t) ->
+      walk_structure st envs.(ui) [ envs.(ui).prefix ] u.structure)
+    units;
+  Array.iteri (fun ui (u : Typed.t) -> find_wrappers st envs.(ui) u.structure) units;
+  List.iter (fun (env, d, e) -> walk_body st env d e) (List.rev st.jobs);
+  let n = Hashtbl.length st.defs in
+  let refs =
+    Array.init n (fun d ->
+        List.rev (Option.value ~default:[] (Hashtbl.find_opt st.refs d)))
   in
-  let seeds = ref [] in
-  Array.iteri
-    (fun ui (u : unit_info) ->
-      let code = u.u_code in
-      let nu = Array.length code in
-      Array.iteri
-        (fun k (t : T.token) ->
-          let o = owner.(ui).(k) in
-          let hits = resolved.(ui).(k) in
-          let is_pool_call =
-            t.T.kind = T.Ident && o >= 0
-            && ((hits <> []
-                && List.exists
-                     (fun d -> d <> o && List.mem defs0.(d).name pool_names)
-                     hits)
-               || (hits = [] && pool_seed_ref t))
-          in
-          if is_pool_call then begin
-            let site = { site_unit = ui; site_line = t.T.line; site_col = t.T.col } in
-            let j = ref (k + 1) and depth = ref 0 and fin = ref false in
-            while (not !fin) && !j < nu do
-              let x = code.(!j) in
-              match (x.T.kind, x.T.text) with
-              | T.Op, ("(" | "[" | "{") ->
-                incr depth;
-                incr j
-              | T.Op, (")" | "]" | "}") ->
-                if !depth = 0 then fin := true
-                else begin
-                  decr depth;
-                  incr j
-                end
-              | T.Op, ("~" | "?" | ":" | "." | "@@" | "!") -> incr j
-              | T.Op, _ when !depth > 0 -> incr j
-              | T.Op, _ -> fin := true
-              | T.Ident, ("fun" | "function") ->
-                (* anonymous callback: its own seeded def *)
-                let d0 = !depth in
-                let e = ref (!j + 1) and dd = ref d0 and stop = ref false in
-                while (not !stop) && !e < nu do
-                  (match (code.(!e).T.kind, code.(!e).T.text) with
-                  | T.Op, ("(" | "[" | "{") -> incr dd
-                  | T.Op, (")" | "]" | "}") ->
-                    if !dd = d0 then stop := true else decr dd
-                  | T.Ident, ("in" | "done" | "end") when !dd = d0 && d0 = 0 ->
-                    stop := true
-                  | T.Op, ";" when !dd = d0 && d0 = 0 -> stop := true
-                  | _ -> ());
-                  if not !stop then incr e
-                done;
-                let lam_id = ndefs0 + !nextra in
-                let parent_name =
-                  if o >= 0 && o < ndefs0 then defs0.(o).name else u.u_module
-                in
-                let last_line =
-                  if !e - 1 >= 0 && !e - 1 < nu then code.(!e - 1).T.line
-                  else x.T.line
-                in
-                ignore
-                  (add_lambda
-                     {
-                       id = lam_id;
-                       name = Printf.sprintf "%s.<fun:%d>" parent_name x.T.line;
-                       kind = Lambda;
-                       unit_ = ui;
-                       line = x.T.line;
-                       col = x.T.col;
-                       parent = o;
-                       is_function = true;
-                       mutable_global = false;
-                       guarded = false;
-                     });
-                (* the lambda takes over its tokens and any locals
-                   declared inside its extent *)
-                for y = !j to !e - 1 do
-                  if owner.(ui).(y) = o then owner.(ui).(y) <- lam_id
-                done;
-                for d = 0 to ndefs0 - 1 do
-                  let dd' = defs0.(d) in
-                  if
-                    dd'.unit_ = ui && dd'.parent = o && dd'.kind = Local
-                    && dd'.line >= x.T.line && dd'.line <= last_line
-                  then defs0.(d) <- { dd' with parent = lam_id }
-                done;
-                seeds := (lam_id, site) :: !seeds;
-                j := !e
-              | T.Ident, kw when !depth = 0 && is_keyword kw -> fin := true
-              | T.Ident, _ ->
-                if !depth = 0 then
-                  List.iter
-                    (fun d ->
-                      if not (List.mem defs0.(d).name pool_names) then
-                        seeds := (d, site) :: !seeds)
-                    resolved.(ui).(!j);
-                incr j
-              | _ -> incr j
-            done
-          end)
-        code)
-    units;
-  let defs = Array.append defs0 (Array.of_list (List.rev !extras)) in
-  (* 6. call edges from the final owner map; a value local is executed
-     by its parent, so it gets an implicit edge *)
-  let calls = Array.make (max (Array.length defs) 1) [] in
-  Array.iteri
-    (fun ui (u : unit_info) ->
-      Array.iteri
-        (fun k (t : T.token) ->
-          let o = owner.(ui).(k) in
-          if o >= 0 then
-            List.iter
-              (fun callee ->
-                if callee <> o then
-                  calls.(o) <- (callee, t.T.line, t.T.col) :: calls.(o))
-              resolved.(ui).(k))
-        u.u_code)
-    units;
+  let defs =
+    Array.init n (fun id ->
+        let d = Hashtbl.find st.defs id in
+        let uses p = List.exists (fun r -> p r.r_path) refs.(id) in
+        let toplevel_value = d.kind = Toplevel && not d.is_function in
+        {
+          d with
+          mutable_global = toplevel_value && uses mutable_ctor;
+          guarded = d.guarded || (toplevel_value && uses is_guard);
+          has_guard = uses is_guard;
+          has_try = Hashtbl.mem st.tries id;
+        })
+  in
+  (* call edges in source order; a value local is executed by its
+     parent, so it also gets an edge from there *)
+  let calls =
+    Array.init n (fun d ->
+        List.filter_map
+          (fun r ->
+            if r.r_def >= 0 && r.r_def <> d then Some (r.r_def, r.r_line, r.r_col)
+            else None)
+          refs.(d))
+  in
   Array.iter
-    (fun (d : def) ->
+    (fun d ->
       if d.kind = Local && (not d.is_function) && d.parent >= 0 then
-        calls.(d.parent) <- (d.id, d.line, d.col) :: calls.(d.parent))
+        calls.(d.parent) <- calls.(d.parent) @ [ (d.id, d.line, d.col) ])
     defs;
-  Array.iteri (fun i l -> calls.(i) <- List.rev l) calls;
-  (* dedup seeds by def, keeping the first site *)
-  let seen = Hashtbl.create 16 in
-  let seeds =
-    List.rev !seeds
-    |> List.filter (fun (d, _) ->
-           if Hashtbl.mem seen d then false
-           else begin
-             Hashtbl.replace seen d ();
-             true
-           end)
+  let seen = Hashtbl.create 32 in
+  let first_site (d, _) =
+    (not (Hashtbl.mem seen d)) && (Hashtbl.replace seen d (); true)
   in
-  { units; defs; calls; owner; resolved; seeds; by_name }
-
-let of_sources files =
-  let mli = Hashtbl.create 16 in
-  List.iter
-    (fun (path, contents) ->
-      if Filename.check_suffix path ".mli" then Hashtbl.replace mli path contents)
-    files;
-  build
-    (List.filter_map
-       (fun (path, contents) ->
-         if Filename.check_suffix path ".mli" then None
-         else
-           Some
-             {
-               s_path = path;
-               s_contents = contents;
-               s_mli = Hashtbl.find_opt mli (path ^ "i");
-             })
-       files)
+  {
+    units;
+    defs;
+    refs;
+    calls;
+    seeds = List.filter first_site (List.rev st.seeds);
+    by_name = st.names;
+  }
 
 let find_def g name =
   match Hashtbl.find_opt g.by_name name with
-  | Some (id :: _) -> Some g.defs.(id)
-  | _ ->
+  | Some id -> Some g.defs.(id)
+  | None ->
     (* suffix match as a CLI convenience: [--summary bfs] *)
     let suffix = "." ^ name in
-    let hit = ref None in
-    Array.iter
-      (fun (d : def) ->
-        if
-          !hit = None && d.kind = Toplevel
-          && String.length d.name > String.length suffix
-          && String.sub d.name
-               (String.length d.name - String.length suffix)
-               (String.length suffix)
-             = suffix
-        then hit := Some d)
-      g.defs;
-    !hit
+    let ls = String.length suffix in
+    Array.to_list g.defs
+    |> List.find_opt (fun d ->
+           d.kind = Toplevel
+           && String.length d.name > ls
+           && String.sub d.name (String.length d.name - ls) ls = suffix)

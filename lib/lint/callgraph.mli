@@ -1,21 +1,21 @@
-(** A conservative structural call graph over the repo's own sources.
+(** The call graph of the repo's own sources, built from the
+    compiler's typed trees ({!Typed}).
 
-    Built on the lint tokenizer, not the compiler: top-level and
-    nested-module bindings, local [let ... in] bindings, module
-    aliases and functor instantiations, and [open]-aware dotted-path
-    resolution, over-approximating when ambiguous (every [open] in
-    scope contributes candidates; same-name locals shadow the unit).
-    Parallel-region roots ([seeds]) are the callback arguments of
-    [Netgraph.Pool.parallel_for]/[parallel_for_slots] call sites —
-    the argument extent only, so post-join code stays outside the
-    region.  Layout assumptions (items at column 1 + 2*nesting,
-    ocamlformat style) are documented in DESIGN.md §15. *)
+    Every [Texp_ident] carries the [Path.t] the typechecker resolved,
+    so opens, shadowing, functor parameters and recursive bindings
+    need no guessing here; the graph only expands module aliases
+    (local [module P = Geometry.Point], a functor instance
+    [module Inst = Mk (Cfg)] naming [Mk]'s body, and dune's library
+    wrappers) and maps each path to the def it names.  Parallel-region
+    roots ([seeds]) are the function arguments of
+    [Netgraph.Pool.parallel_for]/[parallel_for_slots] applications —
+    the argument only, so post-join code stays outside the region. *)
 
 type def_kind =
-  | Toplevel  (** unit- or nested-module-level binding *)
-  | Init  (** [let () = ...] structure item *)
+  | Toplevel  (** unit-, nested-module- or functor-body-level binding *)
+  | Init  (** [let () = ...] or a bare toplevel expression *)
   | Local  (** [let ... in] inside a body *)
-  | Lambda  (** anonymous [fun] at a Pool callback site *)
+  | Lambda  (** anonymous [fun] passed to a Pool entry point *)
 
 type def = {
   id : int;
@@ -29,70 +29,44 @@ type def = {
   parent : int;  (** enclosing def id for Local/Lambda, [-1] otherwise *)
   is_function : bool;
   mutable_global : bool;
-      (** non-function toplevel binding holding mutable state *)
+      (** non-function toplevel binding built with a mutable-state
+          constructor ([ref], [Hashtbl.create], [Array.make], ...) *)
   guarded : bool;
-      (** Atomic/DLS/Mutex in the binding, or annotated
+      (** the binding uses Atomic/DLS/Mutex, or is annotated
           [(* lint: domain-local ... *)] *)
+  has_guard : bool;  (** the body references Atomic/DLS/Mutex *)
+  has_try : bool;  (** the body installs an exception handler *)
+}
+
+(** One identifier occurrence inside a def's body. *)
+type ref_ = {
+  r_path : string;
+      (** canonical path, e.g. [Stdlib.Random.int] or
+          [Netgraph.Graph.add_edge]; a local's bare name *)
+  r_text : string;  (** the spelling at the use site *)
+  r_def : int;  (** the def it names, or [-1] *)
+  r_line : int;
+  r_col : int;
+  r_sorted : bool;  (** an enclosing application sorts the result *)
 }
 
 type seed_site = { site_unit : int; site_line : int; site_col : int }
 
-type unit_info = {
-  u_path : string;  (** repo-relative .ml path *)
-  u_module : string;  (** canonical module prefix, e.g. [Netgraph.Pool] *)
-  u_lib : string option;  (** library dir name for lib/<d>/<f>.ml *)
-  u_code : Tokenizer.token array;  (** comments stripped *)
-  u_comments : Tokenizer.token list;
-  u_lines : string array;  (** source lines, for excerpts *)
-  u_has_mli : bool;
-  u_mli_vals : (string * int) list;
-      (** exported qualified value names with their .mli lines *)
-  u_mli_hazard : bool;
-      (** [include] / functor / module type in the .mli: the export
-          surface is not structurally comparable *)
-  u_ml_hazard : bool;  (** [include] in the .ml *)
-}
-
 type t = {
-  units : unit_info array;
+  units : Typed.t array;
   defs : def array;
+  refs : ref_ list array;  (** per def id, in source order *)
   calls : (int * int * int) list array;
-      (** per def id: (callee id, line, col) in token order *)
-  owner : int array array;
-      (** per unit: token index -> enclosing def id or [-1] *)
-  resolved : int list array array;
-      (** per unit: token index -> candidate def ids *)
+      (** per def id: (callee id, line, col) in source order *)
   seeds : (int * seed_site) list;
       (** parallel-region root defs with the Pool call site *)
-  by_name : (string, int list) Hashtbl.t;
+  by_name : (string, int) Hashtbl.t;  (** toplevel defs by full name *)
 }
 
-type source = {
-  s_path : string;  (** repo-relative .ml path *)
-  s_contents : string;
-  s_mli : string option;  (** sibling .mli contents, if any *)
-}
-
-val build : source list -> t
-
-(** [of_sources files] pairs [.mli] entries with their [.ml] siblings
-    by path and builds the graph over the [.ml] entries. *)
-val of_sources : (string * string) list -> t
+(** Build the graph over a set of units (typically every [lib/**] unit
+    plus the library wrappers' generated alias modules). *)
+val build : Typed.t list -> t
 
 (** Look a toplevel binding up by full name, falling back to a unique
     [.name] suffix match ([find_def g "bfs"]). *)
 val find_def : t -> string -> def option
-
-(** [module_prefix_of_path "lib/netgraph/pool.ml"] =
-    [("Netgraph.Pool", Some "netgraph")]; the library root module
-    ([lib/obs/obs.ml]) collapses to just ["Obs"]. *)
-val module_prefix_of_path : string -> string * string option
-
-(** Shared with the effect layer: the token spells a mutable-state
-    constructor ([ref], [Hashtbl.create], [Array.make], ...). *)
-val mutable_ctor : Tokenizer.token -> bool
-
-(** The token references an [Atomic]/[Domain.DLS]/[Mutex] guard. *)
-val domain_safe : Tokenizer.token -> bool
-
-val is_keyword : string -> bool

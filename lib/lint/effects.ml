@@ -1,18 +1,17 @@
 (* Per-function effect summaries propagated bottom-up over SCCs of the
    call graph, a reachability pass seeded at Netgraph.Pool callback
-   sites, and the diagnostics built on both: the retargeted
-   determinism/multicore rules (D001/D002/D003/M001/M002 now fire only
-   on sites whose function is reachable from a parallel region, and
-   each finding carries the witness call chain) and the new E-rules
-   (E001 unguarded blocking I/O on a parallel chain, E002 exception
-   escaping a parallel region without a handler on the chain, E003
-   .mli-vs-.ml drift).  Sanctioned homes for an effect — lib/obs for
-   clocks and I/O, lib/wireless/rand.ml for randomness,
-   lib/netgraph/graph.ml for the sorted-iteration wrappers and the
-   graph mutation API — export empty summaries, so the effect does not
-   leak through the abstraction that exists to contain it. *)
+   sites, and the diagnostics built on both: the determinism/multicore
+   rules (D001/D002/D003/M001/M002 fire only on sites whose function is
+   reachable from a parallel region, and each finding carries the
+   witness call chain) and the E-rules (E001 unguarded blocking I/O on
+   a parallel chain, E002 exception escaping a parallel region without
+   a handler on the chain).  An effect is an exact path test on the
+   identifiers the typechecker resolved.  Sanctioned homes for an
+   effect — lib/obs for clocks and I/O, lib/wireless/rand.ml for
+   randomness, lib/netgraph/graph.ml for the sorted-iteration wrappers
+   and the graph mutation API — export empty summaries, so the effect
+   does not leak through the abstraction that exists to contain it. *)
 
-module T = Tokenizer
 module C = Callgraph
 
 type kind =
@@ -24,33 +23,38 @@ type kind =
   | Raises
   | Graph_mut
 
-let all_kinds =
-  [ Random; Clock; Unordered_iter; Mutable_global; Blocking_io; Raises; Graph_mut ]
+(* name, DOT color and rule per kind, in bit order *)
+let kinds =
+  [
+    (Random, "Random", "#e07a7a", "D001");
+    (Clock, "Clock", "#e0a85f", "D003");
+    (Unordered_iter, "Unordered_iter", "#d8c95a", "D002");
+    (Mutable_global, "Mutable_global", "#b58ad6", "M001");
+    (Blocking_io, "Blocking_io", "#7ab0e0", "E001");
+    (Raises, "Raises", "#b0b0b0", "E002");
+    (Graph_mut, "Graph_mut", "#72c7a8", "M002");
+  ]
 
-let bit = function
-  | Random -> 1
-  | Clock -> 2
-  | Unordered_iter -> 4
-  | Mutable_global -> 8
-  | Blocking_io -> 16
-  | Raises -> 32
-  | Graph_mut -> 64
+let all_kinds = List.map (fun (k, _, _, _) -> k) kinds
 
-let all_bits = 127
+let bit k =
+  let rec go i = function
+    | [] -> 0
+    | k' :: rest -> if k' = k then 1 lsl i else go (i + 1) rest
+  in
+  go 0 all_kinds
 
-let kind_name = function
-  | Random -> "Random"
-  | Clock -> "Clock"
-  | Unordered_iter -> "Unordered_iter"
-  | Mutable_global -> "Mutable_global"
-  | Blocking_io -> "Blocking_io"
-  | Raises -> "Raises"
-  | Graph_mut -> "Graph_mut"
+let all_bits = (1 lsl List.length kinds) - 1
 
-let under dir path =
-  let dir = dir ^ "/" in
-  String.length path >= String.length dir
-  && String.sub path 0 (String.length dir) = dir
+let entry k = List.find (fun (k', _, _, _) -> k' = k) kinds
+
+let kind_name k = match entry k with _, name, _, _ -> name
+
+let kind_color k = match entry k with _, _, color, _ -> color
+
+let rule_of_kind k = match entry k with _, _, _, rule -> rule
+
+let under dir path = Typed.starts_with (dir ^ "/") path
 
 (* Sanctioned homes: effects intrinsic to these files are masked and
    do not propagate to callers. *)
@@ -65,7 +69,7 @@ type site = {
   e_kind : kind;
   e_line : int;
   e_col : int;
-  e_text : string;  (* the offending token *)
+  e_text : string;  (* the identifier as written *)
   e_note : string;  (* extra context, e.g. which global is touched *)
 }
 
@@ -77,151 +81,91 @@ type analysis = {
   reachable : bool array;  (* from any parallel seed *)
   bfs_parent : int array;  (* BFS tree, -1 at roots *)
   bfs_root : int array;  (* seed def id per reachable def, -1 otherwise *)
-  has_guard : bool array;  (* Atomic/DLS token inside the def *)
-  has_try : bool array;  (* a [try] inside the def *)
 }
 
 (* ---------- intrinsic effect sites ---------- *)
 
-let io_last = function
-  | "print_string" | "print_endline" | "print_newline" | "print_char"
-  | "print_int" | "print_float" | "prerr_string" | "prerr_endline"
-  | "prerr_newline" | "read_line" | "output_string" | "output_char"
-  | "output_byte" | "output_bytes" | "output_value" | "input_line"
-  | "really_input_string" | "open_in" | "open_in_bin" | "open_out"
-  | "open_out_bin" | "close_in" | "close_out" | "flush" ->
-    true
-  | _ -> false
+let in_module m names path =
+  Typed.starts_with (m ^ ".") path && List.mem (Typed.last_component path) names
 
-let io_head (t : T.token) =
-  match T.path_components t.T.text with
-  | [ _ ] -> true  (* bare Stdlib name *)
-  | head :: _ -> (
-    match head with
-    | "Stdlib" | "Printf" | "Format" | "Out_channel" | "In_channel" -> true
-    | _ -> false)
-  | [] -> false
+let stdlib_io =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_char"; "print_int";
+    "print_float"; "prerr_string"; "prerr_endline"; "prerr_newline"; "read_line";
+    "output_string"; "output_char"; "output_byte"; "output_bytes";
+    "output_value"; "input_line"; "really_input_string"; "open_in";
+    "open_in_bin"; "open_out"; "open_out_bin"; "close_in"; "close_out"; "flush";
+  ]
 
-let printf_last = function
-  | "printf" | "eprintf" | "fprintf" -> true
-  | _ -> false
+let blocking_io path =
+  List.mem path (List.map (fun n -> "Stdlib." ^ n) stdlib_io)
+  || List.exists
+       (fun m -> in_module m stdlib_io path)
+       [ "Stdlib.Out_channel"; "Stdlib.In_channel" ]
+  || List.exists
+       (fun m -> in_module m [ "printf"; "eprintf"; "fprintf" ] path)
+       [ "Stdlib.Printf"; "Stdlib.Format" ]
+  || in_module "Unix"
+       [ "read"; "write"; "select"; "sleep"; "sleepf"; "openfile"; "system" ]
+       path
+  || in_module "Thread" [ "create"; "join"; "delay"; "yield" ] path
 
-let sort_window_before = 8
-let sort_window_after = 48
-
-let contains_sub needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
-let graph_names = [ "Netgraph.Graph.add_edge"; "Netgraph.Graph.remove_edge" ]
+(* The effect an identifier occurrence carries on its own, if any;
+   [Mutable_global] depends on the def it names and is handled by the
+   caller. *)
+let intrinsic_kind (r : C.ref_) =
+  let p = r.C.r_path in
+  if Typed.starts_with "Stdlib.Random." p then Some Random
+  else if List.mem p [ "Stdlib.Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
+  then Some Clock
+  else if in_module "Stdlib.Hashtbl" [ "iter"; "fold" ] p && not r.C.r_sorted
+  then Some Unordered_iter
+  else if blocking_io p then Some Blocking_io
+  else if List.mem p [ "Stdlib.raise"; "Stdlib.raise_notrace"; "Stdlib.failwith" ]
+  then Some Raises
+  else if List.mem p [ "Netgraph.Graph.add_edge"; "Netgraph.Graph.remove_edge" ]
+  then Some Graph_mut
+  else None
 
 let scan_sites (g : C.t) =
   let sites = ref [] in
-  let ndefs = Array.length g.defs in
-  let has_guard = Array.make (max ndefs 1) false in
-  let has_try = Array.make (max ndefs 1) false in
   (* one Mutable_global site per (user, global) pair keeps repeated
      reads of the same ref from flooding the report *)
   let mut_seen = Hashtbl.create 16 in
   Array.iteri
-    (fun ui (u : C.unit_info) ->
-      let mask = mask_of_path u.u_path in
-      let code = u.u_code in
-      let n = Array.length code in
-      let emit o k (t : T.token) note =
+    (fun o refs ->
+      let mask = mask_of_path g.units.(g.defs.(o).C.unit_).Typed.path in
+      let emit k (r : C.ref_) note =
         if bit k land mask = 0 then
           sites :=
             {
               e_def = o;
               e_kind = k;
-              e_line = t.T.line;
-              e_col = t.T.col;
-              e_text = t.T.text;
+              e_line = r.C.r_line;
+              e_col = r.C.r_col;
+              e_text = r.C.r_text;
               e_note = note;
             }
             :: !sites
       in
-      Array.iteri
-        (fun i (t : T.token) ->
-          let o = g.owner.(ui).(i) in
-          if o >= 0 && t.T.kind = T.Ident then begin
-            if C.domain_safe t then has_guard.(o) <- true;
-            if t.T.text = "try" then has_try.(o) <- true;
-            let hits = g.resolved.(ui).(i) in
-            let last = T.last_component t in
-            (* Random *)
-            if hits = [] && T.has_component t "Random" then emit o Random t "";
-            (* Clock *)
-            if
-              (T.has_component t "Sys" && last = "time")
-              || T.has_component t "Unix"
-                 && (last = "gettimeofday" || last = "time")
-            then emit o Clock t "";
-            (* Unordered_iter *)
-            if
-              T.has_component t "Hashtbl"
-              && (last = "iter" || last = "fold")
+      List.iter
+        (fun (r : C.ref_) ->
+          Option.iter (fun k -> emit k r "") (intrinsic_kind r);
+          let d = r.C.r_def in
+          if d >= 0 && d <> o then begin
+            let dd = g.defs.(d) in
+            if dd.C.mutable_global && (not dd.C.guarded)
+               && not (Hashtbl.mem mut_seen (o, d))
             then begin
-              let sorted = ref false in
-              for k = i - sort_window_before to i + sort_window_after do
-                if k >= 0 && k < n then
-                  let u' = code.(k) in
-                  if
-                    u'.T.kind = T.Ident
-                    && contains_sub "sort"
-                         (String.lowercase_ascii (T.last_component u'))
-                  then sorted := true
-              done;
-              if not !sorted then emit o Unordered_iter t ""
-            end;
-            (* Blocking_io *)
-            if
-              hits = []
-              && ((io_last last && io_head t)
-                 || printf_last last
-                 || T.has_component t "Unix"
-                    && (match last with
-                       | "read" | "write" | "select" | "sleep" | "sleepf"
-                       | "openfile" | "system" ->
-                         true
-                       | _ -> false)
-                 || T.has_component t "Thread"
-                    && (match last with
-                       | "create" | "join" | "delay" | "yield" -> true
-                       | _ -> false))
-            then emit o Blocking_io t "";
-            (* Raises *)
-            if
-              hits = []
-              && (t.T.text = "raise" || t.T.text = "raise_notrace"
-                || t.T.text = "failwith")
-            then emit o Raises t "";
-            (* Mutable_global: a reference to an unguarded toplevel
-               mutable binding *)
-            List.iter
-              (fun d ->
-                let dd = g.defs.(d) in
-                if dd.C.mutable_global && (not dd.C.guarded) && d <> o then
-                  if not (Hashtbl.mem mut_seen (o, d)) then begin
-                    Hashtbl.replace mut_seen (o, d) ();
-                    emit o Mutable_global t
-                      (Printf.sprintf "%s (%s:%d)" dd.C.name
-                         g.units.(dd.C.unit_).C.u_path dd.C.line)
-                  end)
-              hits;
-            (* Graph_mut *)
-            if
-              (hits <> []
-              && List.exists (fun d -> List.mem g.defs.(d).C.name graph_names) hits)
-              || (hits = []
-                 && (last = "add_edge" || last = "remove_edge")
-                 && (T.has_component t "Graph" || T.has_component t "G"))
-            then emit o Graph_mut t ""
+              Hashtbl.replace mut_seen (o, d) ();
+              emit Mutable_global r
+                (Printf.sprintf "%s (%s:%d)" dd.C.name
+                   g.units.(dd.C.unit_).Typed.path dd.C.line)
+            end
           end)
-        code)
-    g.units;
-  (List.rev !sites, has_guard, has_try)
+        refs)
+    g.refs;
+  List.rev !sites
 
 (* ---------- bottom-up propagation over SCCs (Tarjan) ---------- *)
 
@@ -231,7 +175,7 @@ let propagate (g : C.t) (sites : site list) =
   List.iter (fun s -> intrinsic.(s.e_def) <- intrinsic.(s.e_def) lor bit s.e_kind) sites;
   let mask = Array.make (max n 1) 0 in
   Array.iteri
-    (fun d (dd : C.def) -> mask.(d) <- mask_of_path g.units.(dd.C.unit_).C.u_path)
+    (fun d (dd : C.def) -> mask.(d) <- mask_of_path g.units.(dd.C.unit_).Typed.path)
     g.defs;
   let succs = Array.make (max n 1) [] in
   Array.iteri
@@ -263,26 +207,24 @@ let propagate (g : C.t) (sites : site list) =
       succs.(v);
     if low.(v) = index.(v) then begin
       (* pop the SCC rooted at v *)
-      let scc = ref [] in
-      let brk = ref false in
-      while not !brk do
+      let rec pop acc =
         match !stack with
         | w :: rest ->
           stack := rest;
           on_stack.(w) <- false;
-          scc := w :: !scc;
-          if w = v then brk := true
-        | [] -> brk := true
-      done;
+          if w = v then w :: acc else pop (w :: acc)
+        | [] -> acc
+      in
+      let scc = pop [] in
       let bits = ref 0 in
       List.iter
         (fun w ->
           bits := !bits lor intrinsic.(w);
           List.iter
-            (fun s -> if not (List.mem s !scc) then bits := !bits lor summaries.(s))
+            (fun s -> if not (List.mem s scc) then bits := !bits lor summaries.(s))
             succs.(w))
-        !scc;
-      List.iter (fun w -> summaries.(w) <- !bits land lnot mask.(w)) !scc
+        scc;
+      List.iter (fun w -> summaries.(w) <- !bits land lnot mask.(w)) scc
     end
   in
   for v = 0 to n - 1 do
@@ -321,7 +263,7 @@ let reach (g : C.t) =
   (reachable, parent, root)
 
 let analyze (g : C.t) =
-  let sites, has_guard, has_try = scan_sites g in
+  let sites = scan_sites g in
   let summaries, intrinsic = propagate g sites in
   let reachable, bfs_parent, bfs_root = reach g in
   {
@@ -332,8 +274,6 @@ let analyze (g : C.t) =
     reachable;
     bfs_parent;
     bfs_root;
-    has_guard;
-    has_try;
   }
 
 (* witness chain from the BFS seed down to [d], as def ids *)
@@ -384,8 +324,9 @@ let rules =
         "Hashtbl.iter/fold visit bindings in hash order; on a path executed \
          inside a parallel region the visit order leaks into outputs.  \
          Route through Graph.sorted_tbl_iter/fold or sort the result (a \
-         *sort* within a few tokens of the call is recognised); \
-         lib/netgraph/graph.ml hosts the wrappers and is exempt.";
+         traversal passed, directly or through |> / @@, to a function \
+         named *sort* is recognised); lib/netgraph/graph.ml hosts the \
+         wrappers and is exempt.";
     };
     {
       id = "D003";
@@ -446,38 +387,12 @@ let rules =
          Add a handler on the chain or suppress with the contract spelled \
          out.";
     };
-    {
-      id = "E003";
-      family = "hygiene";
-      severity = Diag.Warning;
-      title = "interface and implementation surfaces agree";
-      doc =
-        "Values exported by an .mli must exist as top-level bindings in the \
-         .ml, and a top-level .ml value invisible to the .mli that nothing \
-         in the project references is dead code behind the interface.  \
-         Units whose surface is not structurally comparable (include, \
-         functors, module types) are skipped.";
-    };
   ]
 
 let find_rule id = List.find_opt (fun r -> r.id = id) rules
 
-let rule_of_kind = function
-  | Random -> "D001"
-  | Clock -> "D003"
-  | Unordered_iter -> "D002"
-  | Mutable_global -> "M001"
-  | Graph_mut -> "M002"
-  | Blocking_io -> "E001"
-  | Raises -> "E002"
-
 let severity_of_rule id =
   match find_rule id with Some r -> r.severity | None -> Diag.Error
-
-let excerpt (u : C.unit_info) line =
-  if line >= 1 && line <= Array.length u.C.u_lines then
-    String.trim u.C.u_lines.(line - 1)
-  else ""
 
 let base_message (s : site) =
   match s.e_kind with
@@ -508,16 +423,15 @@ let base_message (s : site) =
     s.e_text
     ^ " can escape the parallel region: no try handler on the witness chain"
 
-let chain_suffix a d =
-  let names = chain_names a d in
-  let seed =
-    match seed_site_of a d with
-    | Some site ->
-      Printf.sprintf " (Pool call at %s:%d)"
-        a.graph.C.units.(site.C.site_unit).C.u_path site.C.site_line
-    | None -> ""
-  in
-  Printf.sprintf "; parallel chain: %s%s" (String.concat " -> " names) seed
+(* the witness chain to [d], seed first, with the Pool call site *)
+let witness a d =
+  String.concat " -> " (chain_names a d)
+  ^
+  match seed_site_of a d with
+  | Some site ->
+    Printf.sprintf " (Pool call at %s:%d)"
+      a.graph.C.units.(site.C.site_unit).Typed.path site.C.site_line
+  | None -> ""
 
 let reachability_findings a =
   let g = a.graph in
@@ -529,10 +443,10 @@ let reachability_findings a =
         let ids = chain_ids a d in
         let guard_on_chain =
           List.exists
-            (fun v -> a.has_guard.(v) || g.C.defs.(v).C.guarded)
+            (fun v -> g.C.defs.(v).C.has_guard || g.C.defs.(v).C.guarded)
             ids
         in
-        let try_on_chain = List.exists (fun v -> a.has_try.(v)) ids in
+        let try_on_chain = List.exists (fun v -> g.C.defs.(v).C.has_try) ids in
         let skip =
           match s.e_kind with
           | Blocking_io -> guard_on_chain
@@ -546,11 +460,11 @@ let reachability_findings a =
             {
               Diag.rule;
               severity = severity_of_rule rule;
-              file = u.C.u_path;
+              file = u.Typed.path;
               line = s.e_line;
               col = s.e_col;
-              message = base_message s ^ chain_suffix a d;
-              excerpt = excerpt u s.e_line;
+              message = base_message s ^ "; parallel chain: " ^ witness a d;
+              excerpt = Typed.excerpt u s.e_line;
             }
             :: !out
         end
@@ -558,131 +472,11 @@ let reachability_findings a =
     a.sites;
   List.rev !out
 
-(* ---------- E003: .mli drift ---------- *)
-
-let drift_findings (g : C.t) =
-  let ndefs = Array.length g.defs in
-  let incoming = Array.make (max ndefs 1) 0 in
-  Array.iteri
-    (fun caller calls ->
-      List.iter
-        (fun (callee, _, _) ->
-          if callee <> caller then incoming.(callee) <- incoming.(callee) + 1)
-        calls)
-    g.calls;
-  (* textual fallback: every path component mentioned anywhere, with
-     the owning def, so a use our resolver missed still counts *)
-  let mentioned = Hashtbl.create 256 in
-  Array.iteri
-    (fun ui (u : C.unit_info) ->
-      Array.iteri
-        (fun i (t : T.token) ->
-          if t.T.kind = T.Ident then
-            List.iter
-              (fun comp ->
-                let o = g.owner.(ui).(i) in
-                match Hashtbl.find_opt mentioned comp with
-                | Some owners -> Hashtbl.replace mentioned comp (o :: owners)
-                | None -> Hashtbl.replace mentioned comp [ o ])
-              (T.path_components t.T.text))
-        u.u_code)
-    g.units;
-  let out = ref [] in
-  Array.iteri
-    (fun _ (u : C.unit_info) ->
-      if u.C.u_has_mli && (not u.C.u_mli_hazard) && not u.C.u_ml_hazard then begin
-        let unit_defs =
-          Array.to_list g.defs
-          |> List.filter (fun (d : C.def) ->
-                 g.C.units.(d.C.unit_).C.u_path = u.C.u_path
-                 && d.C.kind = C.Toplevel)
-        in
-        let def_names = List.map (fun (d : C.def) -> d.C.name) unit_defs in
-        (* exported but not implemented *)
-        List.iter
-          (fun (qname, mline) ->
-            if not (List.mem qname def_names) then
-              out :=
-                {
-                  Diag.rule = "E003";
-                  severity = Diag.Warning;
-                  file = u.C.u_path ^ "i";
-                  line = mline;
-                  col = 1;
-                  message =
-                    Printf.sprintf
-                      "interface exports %s but the implementation has no \
-                       matching top-level binding (renamed or removed?)"
-                      qname;
-                  excerpt = "";
-                }
-                :: !out)
-          u.C.u_mli_vals;
-        (* implemented, invisible to the interface, and unused *)
-        let exported = List.map fst u.C.u_mli_vals in
-        List.iter
-          (fun (d : C.def) ->
-            let b =
-              match String.rindex_opt d.C.name '.' with
-              | Some i ->
-                String.sub d.C.name (i + 1) (String.length d.C.name - i - 1)
-              | None -> d.C.name
-            in
-            if
-              (not (List.mem d.C.name exported))
-              && String.length b > 0
-              && b.[0] <> '<'
-              && incoming.(d.C.id) = 0
-              &&
-              (* no textual mention outside the def itself *)
-              match Hashtbl.find_opt mentioned b with
-              | Some owners -> List.for_all (fun o -> o = d.C.id) owners
-              | None -> true
-            then
-              out :=
-                {
-                  Diag.rule = "E003";
-                  severity = Diag.Warning;
-                  file = u.C.u_path;
-                  line = d.C.line;
-                  col = d.C.col;
-                  message =
-                    Printf.sprintf
-                      "top-level value %s is invisible to %si and never \
-                       referenced: dead code behind the interface (export \
-                       it or delete it)"
-                      b u.C.u_path;
-                  excerpt = excerpt u d.C.line;
-                }
-                :: !out)
-          unit_defs
-      end)
-    g.units;
-  List.rev !out
-
 let findings ?only a =
-  let keep id =
-    match only with None -> true | Some ids -> List.mem id ids
+  let keep (d : Diag.t) =
+    match only with None -> true | Some ids -> List.mem d.Diag.rule ids
   in
-  let raw =
-    List.filter (fun (d : Diag.t) -> keep d.Diag.rule)
-      (reachability_findings a @ drift_findings a.graph)
-  in
-  (* dedup on position: over-approximate resolution can hit one site
-     through several candidate defs *)
-  let seen = Hashtbl.create 64 in
-  let out =
-    List.filter
-      (fun (d : Diag.t) ->
-        let key = (d.Diag.rule, d.Diag.file, d.Diag.line, d.Diag.col) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      raw
-  in
-  List.sort Diag.compare out
+  List.sort Diag.compare (List.filter keep (reachability_findings a))
 
 (* ---------- reports: stats, DOT, per-function summary ---------- *)
 
@@ -718,15 +512,6 @@ let stats_json s =
   Printf.sprintf
     "{\"kind\":\"callgraph\",\"functions\":%d,\"edges\":%d,\"seeds\":%d,\"reachable\":%d}"
     s.s_functions s.s_edges s.s_seeds s.s_reachable
-
-let kind_color = function
-  | Random -> "#e07a7a"
-  | Clock -> "#e0a85f"
-  | Unordered_iter -> "#d8c95a"
-  | Mutable_global -> "#b58ad6"
-  | Blocking_io -> "#7ab0e0"
-  | Raises -> "#b0b0b0"
-  | Graph_mut -> "#72c7a8"
 
 let node_color a d =
   let bits = a.summaries.(d) in
@@ -780,7 +565,7 @@ let function_summary a name =
     let b = Buffer.create 256 in
     let u = a.graph.C.units.(d.C.unit_) in
     Buffer.add_string b
-      (Printf.sprintf "%s (%s:%d)\n" d.C.name u.C.u_path d.C.line);
+      (Printf.sprintf "%s (%s:%d)\n" d.C.name u.Typed.path d.C.line);
     let eff = summary_kinds a.summaries.(d.C.id) in
     Buffer.add_string b
       (Printf.sprintf "  effects: {%s}\n"
@@ -792,16 +577,7 @@ let function_summary a name =
            (String.concat ", " (List.map kind_name own)));
     if a.reachable.(d.C.id) then begin
       Buffer.add_string b "  parallel-reachable: yes\n";
-      Buffer.add_string b
-        (Printf.sprintf "  witness: %s"
-           (String.concat " -> " (chain_names a d.C.id)));
-      (match seed_site_of a d.C.id with
-      | Some site ->
-        Buffer.add_string b
-          (Printf.sprintf " (Pool call at %s:%d)"
-             a.graph.C.units.(site.C.site_unit).C.u_path site.C.site_line)
-      | None -> ());
-      Buffer.add_char b '\n'
+      Buffer.add_string b (Printf.sprintf "  witness: %s\n" (witness a d.C.id))
     end
     else Buffer.add_string b "  parallel-reachable: no\n";
     Some (Buffer.contents b)

@@ -1,20 +1,23 @@
 (** Per-function effect summaries over the {!Callgraph}, propagated
     bottom-up over SCCs, plus reachability from
-    [Netgraph.Pool.parallel_for] callback sites.  The retargeted
-    determinism/multicore rules (D001 D002 D003 M001 M002) and the new
-    E-rules (E001 unguarded blocking I/O on a parallel chain, E002
-    escaping exception, E003 .mli drift) are generated here; each
-    reachability finding carries the witness call chain from the Pool
-    seed to the offending site. *)
+    [Netgraph.Pool.parallel_for] callback sites.  The determinism and
+    multicore rules (D001 D002 D003 M001 M002) and the E-rules (E001
+    unguarded blocking I/O on a parallel chain, E002 escaping
+    exception) are generated here; each finding carries the witness
+    call chain from the Pool seed to the offending site.  An effect is
+    an exact test on a reference's canonical path
+    ({!Callgraph.ref_}). *)
 
 type kind =
-  | Random  (** Stdlib.Random use outside lib/wireless/rand.ml *)
-  | Clock  (** Sys.time / Unix.gettimeofday outside lib/obs *)
-  | Unordered_iter  (** Hashtbl.iter/fold with no sort in sight *)
-  | Mutable_global  (** touches an unguarded toplevel ref/table *)
+  | Random  (** [Stdlib.Random.*] outside lib/wireless/rand.ml *)
+  | Clock  (** [Stdlib.Sys.time] / [Unix.gettimeofday] / [Unix.time] *)
+  | Unordered_iter
+      (** [Stdlib.Hashtbl.iter]/[fold] whose result no enclosing
+          application sorts *)
+  | Mutable_global  (** names an unguarded toplevel ref/table *)
   | Blocking_io  (** prints, channels, Unix/Thread blocking calls *)
-  | Raises  (** raise / failwith *)
-  | Graph_mut  (** Netgraph.Graph.add_edge / remove_edge *)
+  | Raises  (** [Stdlib.raise] / [raise_notrace] / [failwith] *)
+  | Graph_mut  (** [Netgraph.Graph.add_edge] / [remove_edge] *)
 
 val all_kinds : kind list
 val bit : kind -> int
@@ -43,8 +46,6 @@ type analysis = {
   reachable : bool array;
   bfs_parent : int array;
   bfs_root : int array;
-  has_guard : bool array;
-  has_try : bool array;
 }
 
 val analyze : Callgraph.t -> analysis
@@ -63,13 +64,13 @@ type rule_info = {
 }
 
 (** The interprocedural rule catalog: D001 D002 D003 M001 M002 E001
-    E002 E003. *)
+    E002. *)
 val rules : rule_info list
 
 val find_rule : string -> rule_info option
 
-(** All diagnostics for the analysis, sorted, deduplicated by
-    position; [only] filters by rule id. *)
+(** All diagnostics for the analysis, sorted; [only] filters by rule
+    id. *)
 val findings : ?only:string list -> analysis -> Diag.t list
 
 type stats = {

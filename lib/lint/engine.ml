@@ -1,7 +1,7 @@
-(* Ties the pieces together: walk the tree, tokenize, run the rule
-   catalog, honour inline suppressions, then net the committed
-   baseline off.  Directory walks and finding lists are sorted, so a
-   run's output is bit-identical across machines. *)
+(* Ties the pieces together: walk the tree, load the compiled units,
+   run the rule catalog, honour inline suppressions, then net the
+   committed baseline off.  Directory walks and finding lists are
+   sorted, so a run's output is bit-identical across machines. *)
 
 type result = {
   findings : Diag.t list;  (* unsuppressed, after the baseline *)
@@ -41,166 +41,114 @@ let scan_files root =
     scan_dirs;
   List.rev !out
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let under_lib = Typed.starts_with "lib/"
+
+let load ?(lib_only = false) root =
+  scan_files root
+  |> List.filter (fun p ->
+         Filename.check_suffix p ".ml" && ((not lib_only) || under_lib p))
+  |> Typed.load ~root
 
 (* ---------- inline suppressions ----------
 
    (* lint: disable RULE reason *) silences RULE on every line the
    comment touches and the line after it; the reason is mandatory — a
    reasonless disable is inert.  (* lint: domain-local reason *) is
-   consumed by M001 directly. *)
+   consumed by M001 directly.  Both are found by a line scan of the
+   source. *)
 
 type suppression = { s_rule : string; s_first : int; s_last : int }
 
-let words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.filter (fun w -> w <> "")
+let marker = "lint: disable"
 
-let suppressions_of_comments comments =
-  List.filter_map
-    (fun (c : Tokenizer.token) ->
-      let text = c.Tokenizer.text in
-      let marker = "lint: disable" in
-      let rec find i =
-        if i + String.length marker > String.length text then None
-        else if String.sub text i (String.length marker) = marker then
-          Some (i + String.length marker)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some after -> (
-        let rest = String.sub text after (String.length text - after) in
-        (* drop the comment closer before splitting into words *)
-        let rest =
-          match String.index_opt rest '*' with
-          | Some i when i + 1 < String.length rest && rest.[i + 1] = ')' ->
-            String.sub rest 0 i
-          | _ -> rest
-        in
-        match words rest with
-        | rule :: (_ :: _ as _reason) ->
-          let newlines =
-            String.fold_left
-              (fun n ch -> if ch = '\n' then n + 1 else n)
-              0 text
-          in
-          Some
-            {
-              s_rule = rule;
-              s_first = c.Tokenizer.line;
-              s_last = c.Tokenizer.line + newlines + 1;
-            }
-        | _ -> None (* no reason given: the suppression is inert *))
-    )
-    comments
+let suppressions lines =
+  let n = Array.length lines in
+  (* the comment's text after the marker, up to its closer, and the
+     0-based index of the closing line *)
+  let rec body j from acc =
+    if j >= n then (acc, n - 1)
+    else
+      let l = lines.(j) in
+      let rest = String.sub l from (String.length l - from) in
+      match Typed.find_sub "*)" rest with
+      | Some c -> (acc ^ " " ^ String.sub rest 0 c, j)
+      | None -> body (j + 1) 0 (acc ^ " " ^ rest)
+  in
+  List.concat
+    (List.mapi
+       (fun i line ->
+         match Typed.find_sub marker line with
+         | None -> []
+         | Some k -> (
+           let text, last = body i (k + String.length marker) "" in
+           match
+             String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) text)
+             |> List.filter (( <> ) "")
+           with
+           | rule :: _ :: _ -> [ { s_rule = rule; s_first = i + 1; s_last = last + 2 } ]
+           | _ -> [] (* no reason given: the suppression is inert *)))
+       (Array.to_list lines))
 
 let suppressed sups (d : Diag.t) =
   List.exists
     (fun s -> s.s_rule = d.rule && d.line >= s.s_first && d.line <= s.s_last)
     sups
 
-(* ---------- per-file lint ---------- *)
+(* ---------- per-unit lint ---------- *)
 
-let split_lines s = Array.of_list (String.split_on_char '\n' s)
-
-let lint_source ?(rules = Rules.all) ?(has_mli = true) ~path contents =
-  let tokens = Tokenizer.tokenize contents in
-  let comments =
-    List.filter (fun t -> t.Tokenizer.kind = Tokenizer.Comment) tokens
-  in
-  let code =
-    Array.of_list
-      (List.filter (fun t -> t.Tokenizer.kind <> Tokenizer.Comment) tokens)
-  in
-  let ctx =
-    { Rules.path; code; comments; lines = split_lines contents; has_mli }
-  in
+let lint_unit ?(rules = Rules.all) (u : Typed.t) =
+  let ctx = Rules.ctx_of_unit u in
   let raw = List.concat_map (fun (r : Rules.rule) -> r.check ctx) rules in
-  let sups = suppressions_of_comments comments in
+  let sups = suppressions u.lines in
   let kept, cut = List.partition (fun d -> not (suppressed sups d)) raw in
   (List.sort Diag.compare kept, List.length cut)
 
-let lint_file ?rules ~root path =
-  let abs = Filename.concat root path in
-  let has_mli = Sys.file_exists (abs ^ "i") in
-  lint_source ?rules ~has_mli ~path (read_file abs)
-
 (* ---------- whole-project lint ----------
 
-   Local rules run per .ml file; the interprocedural layer
-   (Callgraph + Effects) runs once over lib/** with .mli siblings
-   paired in.  Effect findings honour the same inline suppressions,
-   looked up in whichever file the finding lands in (including .mli
-   files for E003). *)
+   Local rules run per .ml unit; the interprocedural layer
+   (Callgraph + Effects) runs once over lib/**.  Effect findings
+   honour the same inline suppressions, looked up in the file the
+   finding lands in. *)
 
 let keep_rule only id =
   match only with None -> true | Some ids -> List.mem id ids
 
-let comments_of_source contents =
-  List.filter
-    (fun t -> t.Tokenizer.kind = Tokenizer.Comment)
-    (Tokenizer.tokenize contents)
-
-let apply_file_suppressions files findings =
-  let cache = Hashtbl.create 16 in
-  let sups_of path =
-    match Hashtbl.find_opt cache path with
-    | Some s -> s
-    | None ->
-      let s =
-        match List.assoc_opt path files with
-        | Some contents -> suppressions_of_comments (comments_of_source contents)
-        | None -> []
-      in
-      Hashtbl.replace cache path s;
-      s
+let lint_project ?only (units : Typed.t list) =
+  let rules = List.filter (fun (r : Rules.rule) -> keep_rule only r.id) Rules.all in
+  let sources = List.filter Typed.is_source units in
+  let local, cut =
+    List.fold_left
+      (fun (all, cut) u ->
+        let findings, c = lint_unit ~rules u in
+        (List.rev_append findings all, cut + c))
+      ([], 0) sources
   in
-  List.partition (fun (d : Diag.t) -> not (suppressed (sups_of d.file) d)) findings
-
-let under_lib p = String.length p > 4 && String.sub p 0 4 = "lib/"
-
-let lint_project ?only files =
-  let local_rules =
-    List.filter (fun (r : Rules.rule) -> keep_rule only r.Rules.id) Rules.all
-  in
-  let mls =
-    List.filter (fun (p, _) -> Filename.check_suffix p ".ml") files
-  in
-  let all = ref [] and cut_total = ref 0 in
-  List.iter
-    (fun (path, contents) ->
-      let has_mli = List.mem_assoc (path ^ "i") files in
-      let findings, cut = lint_source ~rules:local_rules ~has_mli ~path contents in
-      all := List.rev_append findings !all;
-      cut_total := !cut_total + cut)
-    mls;
-  let lib_files = List.filter (fun (p, _) -> under_lib p) files in
+  let lib = List.filter (fun (u : Typed.t) -> under_lib u.path) units in
   let effect_findings =
-    if List.exists (fun (p, _) -> Filename.check_suffix p ".ml") lib_files then
-      Effects.findings ?only (Effects.analyze (Callgraph.of_sources lib_files))
+    if List.exists Typed.is_source lib then
+      Effects.findings ?only (Effects.analyze (Callgraph.build lib))
     else []
   in
-  let kept, cut = apply_file_suppressions files effect_findings in
-  cut_total := !cut_total + List.length cut;
-  (List.sort Diag.compare (List.rev_append kept !all), !cut_total, List.length mls)
+  let sups = Hashtbl.create 16 in
+  List.iter
+    (fun (u : Typed.t) -> Hashtbl.replace sups u.path (lazy (suppressions u.lines)))
+    units;
+  let kept, cut_effects =
+    List.partition
+      (fun (d : Diag.t) ->
+        match Hashtbl.find_opt sups d.file with
+        | Some s -> not (suppressed (Lazy.force s) d)
+        | None -> true)
+      effect_findings
+  in
+  ( List.sort Diag.compare (List.rev_append kept local),
+    cut + List.length cut_effects,
+    List.length sources )
 
 (* ---------- whole-tree run ---------- *)
 
-let project_files root =
-  scan_files root
-  |> List.map (fun p -> (p, read_file (Filename.concat root p)))
-
 let run ?only ?(baseline = []) root =
-  let files = project_files root in
-  let sorted, suppressed, nml = lint_project ?only files in
+  let sorted, suppressed, nml = lint_project ?only (load root) in
   let findings, grandfathered = Baseline.apply baseline sorted in
   let used = Hashtbl.create 16 in
   List.iter

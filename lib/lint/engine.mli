@@ -1,12 +1,13 @@
-(** Walking, per-file linting, interprocedural analysis, suppression
-    and baseline plumbing.
+(** Walking, loading, per-unit linting, interprocedural analysis,
+    suppression and baseline plumbing.
 
     The tree walk covers [lib], [bin], [bench], [examples] and [test]
     under a root, skipping [_build], [fixtures] and dot-directories;
     directory entries are visited in sorted order so reports are
-    bit-identical across machines.  Local rules ({!Rules.all}) run per
-    .ml file; the interprocedural layer ({!Callgraph} + {!Effects})
-    runs once over lib/** with .mli siblings paired in. *)
+    bit-identical across machines.  Every scanned [.ml] is read in its
+    compiled form ({!Typed}): build with [dune build @check] first.
+    Local rules ({!Rules.all}) run per unit; the interprocedural layer
+    ({!Callgraph} + {!Effects}) runs once over lib/**. *)
 
 type result = {
   findings : Diag.t list;  (** unsuppressed, after the baseline; sorted *)
@@ -22,36 +23,28 @@ type result = {
     under [root]. *)
 val scan_files : string -> string list
 
-(** [(path, contents)] for every scanned file. *)
-val project_files : string -> (string * string) list
+(** The compiled units of every scanned [.ml] under [root] (only
+    [lib/**] with [lib_only]), plus the generated library alias
+    modules; raises {!Typed.Stale} naming the first file whose [.cmt]
+    is missing or out of date. *)
+val load : ?lib_only:bool -> string -> Typed.t list
 
-(** [lint_source ~path contents] lints one compilation unit with the
-    given local rules (default: {!Rules.all}), applying inline
-    suppressions.  [has_mli] (default [true]) feeds H001; [path] is
-    the repo-relative path used for rule scoping.  Returns sorted
-    findings and the count of inline-suppressed ones.  Interprocedural
-    rules need the whole project: see {!lint_project}. *)
-val lint_source :
-  ?rules:Rules.rule list ->
-  ?has_mli:bool ->
-  path:string ->
-  string ->
-  Diag.t list * int
+(** [lint_unit u] runs the given local rules (default: {!Rules.all})
+    over one unit, applying inline suppressions.  The unit's [path]
+    scopes the rules and [has_mli] feeds H001.  Returns sorted
+    findings and the count of inline-suppressed ones.
+    Interprocedural rules need the whole project: see
+    {!lint_project}. *)
+val lint_unit : ?rules:Rules.rule list -> Typed.t -> Diag.t list * int
 
-(** [lint_file ~root path] — {!lint_source} on a file on disk;
-    [has_mli] is derived from the sibling [.mli]'s existence. *)
-val lint_file :
-  ?rules:Rules.rule list -> root:string -> string -> Diag.t list * int
-
-(** [lint_project files] lints an in-memory project: local rules on
-    every [.ml] entry, plus the Callgraph/Effects pass over the
-    [lib/**] entries ([.mli] contents paired by path).  [only] filters
-    by rule id across both layers.  Returns (sorted findings,
-    inline-suppressed count, number of .ml files). *)
+(** [lint_project units] lints a set of units: local rules on every
+    source unit, plus the Callgraph/Effects pass over the [lib/**]
+    units.  [only] filters by rule id across both layers.  Returns
+    (sorted findings, inline-suppressed count, number of .ml files). *)
 val lint_project :
-  ?only:string list -> (string * string) list -> Diag.t list * int * int
+  ?only:string list -> Typed.t list -> Diag.t list * int * int
 
 (** Lint the whole tree under [root] and net off [baseline]; [only]
-    filters by rule id. *)
+    filters by rule id.  Raises {!Typed.Stale} like {!load}. *)
 val run :
   ?only:string list -> ?baseline:Baseline.entry list -> string -> result

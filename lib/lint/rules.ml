@@ -1,20 +1,13 @@
-(* The rule catalog.  Each rule is a pure function from a tokenized
+(* The rule catalog.  Each rule is a pure function from a compiled
    compilation unit to findings; scoping (which directories a rule
    patrols) lives with the rule so the catalog is self-describing.
-   Token-level checks are deliberately conservative: a miss is cheap
-   (review catches it), a false positive costs a suppression with a
-   written reason — so every heuristic errs toward the patterns that
-   actually appear in this repo. *)
+   Names, instance types and application shapes come from the typed
+   tree, so a rule matches exactly the identifier the compiler
+   resolved, not a spelling. *)
 
-module T = Tokenizer
+open Typedtree
 
-type ctx = {
-  path : string;  (* repo-relative, '/'-separated *)
-  code : T.token array;  (* comments stripped *)
-  comments : T.token list;
-  lines : string array;
-  has_mli : bool;
-}
+type ctx = { u : Typed.t; exprs : expression list }
 
 type rule = {
   id : string;
@@ -27,140 +20,117 @@ type rule = {
 
 (* ---------- shared helpers ---------- *)
 
-let excerpt ctx line =
-  if line >= 1 && line <= Array.length ctx.lines then
-    String.trim ctx.lines.(line - 1)
-  else ""
+let expressions (s : structure) =
+  let acc = ref [] in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun sub e ->
+          acc := e :: !acc;
+          Tast_iterator.default_iterator.expr sub e);
+    }
+  in
+  it.structure it s;
+  List.rev !acc
 
-let finding ctx rule severity line col message =
-  {
-    Diag.rule;
-    severity;
-    file = ctx.path;
-    line;
-    col;
-    message;
-    excerpt = excerpt ctx line;
-  }
+let ctx_of_unit u = { u; exprs = expressions u.Typed.structure }
 
-let under dir path =
-  let dir = dir ^ "/" in
-  String.length path >= String.length dir
-  && String.sub path 0 (String.length dir) = dir
+let finding ctx rule severity (line, col) message =
+  { Diag.rule; severity; file = ctx.u.path; line; col; message;
+    excerpt = Typed.excerpt ctx.u line }
+
+let under dir path = Typed.starts_with (dir ^ "/") path
 
 let in_any dirs path = List.exists (fun d -> under d path) dirs
 
-let tok ctx i =
-  if i >= 0 && i < Array.length ctx.code then Some ctx.code.(i) else None
+(* [Some (path, written)] for an identifier: the resolved path and
+   the spelling at the use site. *)
+let ident e =
+  match e.exp_desc with
+  | Texp_ident (p, lid, _) ->
+    Some (Path.name p, String.concat "." (Longident.flatten lid.txt))
+  | _ -> None
 
-let tok_text ctx i = match tok ctx i with Some t -> t.T.text | None -> ""
+let ident_is names e =
+  match ident e with Some (p, _) -> List.mem p names | None -> false
 
-(* The determinism and multicore rules (D001 D002 D003 M001 M002) that
-   used to live here as path heuristics were retargeted to
-   reachability-based diagnostics in [Effects]; they fire only on
-   sites whose function is reachable from a Netgraph.Pool callback,
-   and each finding carries the witness call chain.  This catalog
-   keeps the purely local, single-file rules. *)
+let pos e = Typed.pos e.exp_loc
+
+(* Every application [f args] whose head is one of [names]. *)
+let applications names ctx =
+  List.filter_map
+    (fun e ->
+      match e.exp_desc with
+      | Texp_apply (f, args) when ident_is names f ->
+        Some (f, List.filter_map snd args)
+      | _ -> None)
+    ctx.exprs
+
+let idents names ctx =
+  List.filter_map
+    (fun e ->
+      match ident e with
+      | Some (p, written) when List.mem p names -> Some (e, p, written)
+      | _ -> None)
+    ctx.exprs
+
+(* The determinism and multicore rules (D001 D002 D003 M001 M002) and
+   the parallel-region E-rules are interprocedural and live in
+   [Effects]; this catalog keeps the purely local, single-file rules. *)
 
 (* ---------- F001: polymorphic compare / min / max ---------- *)
 
 let float_scope = [ "lib/geometry"; "lib/netgraph"; "lib/delaunay" ]
 
-let is_definition_prev ctx i =
-  match tok_text ctx (i - 1) with
-  | "let" | "and" | "val" | "method" | "external" -> true
-  | _ -> false
-
-let float_flavored t =
-  t.T.kind = T.Float_lit
-  || (t.T.kind = T.Ident
-     &&
-     match t.T.text with
-     | "infinity" | "neg_infinity" | "nan" | "epsilon_float" -> true
-     | _ -> false)
-
-let f001_check ctx =
-  if not (in_any float_scope ctx.path) then []
-  else begin
-    let out = ref [] in
-    Array.iteri
-      (fun i t ->
-        if t.T.kind = T.Ident && not (is_definition_prev ctx i) then
-          match t.T.text with
-          | "compare" | "Stdlib.compare" ->
-            out :=
-              finding ctx "F001" Diag.Error t.T.line t.T.col
-                "polymorphic compare in float-bearing code; use \
-                 Float.compare / Int.compare or a typed comparator"
-              :: !out
-          | "min" | "max" | "Stdlib.min" | "Stdlib.max" ->
-            let floaty =
-              (match tok ctx (i + 1) with
-              | Some u -> float_flavored u
-              | None -> false)
-              ||
-              match tok ctx (i + 2) with
-              | Some u -> float_flavored u
-              | None -> false
-            in
-            if floaty then
-              out :=
-                finding ctx "F001" Diag.Error t.T.line t.T.col
-                  ("polymorphic " ^ t.T.text
-                 ^ " applied to a float; use Float.min / Float.max")
-                :: !out
-          | _ -> ())
-      ctx.code;
-    List.rev !out
-  end
-
-(* ---------- F002: exact float-literal equality ---------- *)
-
-let f002_binding_context ctx i =
-  (* [i] indexes the '='.  Skip bindings, record fields and default
-     arguments: [let x = 0.], [{ x = 0.; y = 0. }], [{ r with x = 0. }],
-     [?(eps = 1e-9)]. *)
-  match tok ctx (i - 1) with
-  | Some p when p.T.kind = T.Ident -> (
-    match tok_text ctx (i - 2) with
-    | "let" | "and" | "{" | ";" | "with" | "mutable" | "?" | "~" -> true
-    | "(" -> tok_text ctx (i - 3) = "?"
+let at_float e =
+  match Types.get_desc e.exp_type with
+  | Types.Tarrow (_, arg, _, _) -> (
+    match Types.get_desc arg with
+    | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
     | _ -> false)
   | _ -> false
 
+let f001_check ctx =
+  if not (in_any float_scope ctx.u.path) then []
+  else
+    idents [ "Stdlib.compare"; "Stdlib.min"; "Stdlib.max" ] ctx
+    |> List.filter (fun (e, _, _) -> at_float e)
+    |> List.map (fun (e, p, written) ->
+           finding ctx "F001" Diag.Error (pos e)
+             (if p = "Stdlib.compare" then
+                "polymorphic compare in float-bearing code; use Float.compare \
+                 / Int.compare or a typed comparator"
+              else
+                "polymorphic " ^ written
+                ^ " applied to a float; use Float.min / Float.max"))
+
+(* ---------- F002: exact float-literal equality ---------- *)
+
+let float_constant e =
+  match e.exp_desc with
+  | Texp_constant (Const_float _) -> true
+  | _ -> ident_is [ "Stdlib.nan" ] e
+
 let f002_check ctx =
   if
-    (not (in_any float_scope ctx.path))
-    || ctx.path = "lib/geometry/predicates.ml"
+    (not (in_any float_scope ctx.u.path))
+    || ctx.u.path = "lib/geometry/predicates.ml"
   then []
-  else begin
-    let out = ref [] in
-    Array.iteri
-      (fun i t ->
-        if t.T.kind = T.Op && (t.T.text = "=" || t.T.text = "<>") then begin
-          let lit u = u.T.kind = T.Float_lit || u.T.text = "nan" in
-          let neighbor =
-            (match tok ctx (i + 1) with Some u -> lit u | None -> false)
-            || match tok ctx (i - 1) with Some u -> lit u | None -> false
-          in
-          if neighbor && not (f002_binding_context ctx i) then
-            out :=
-              finding ctx "F002" Diag.Error t.T.line t.T.col
-                "exact float equality against a literal; use Float.equal, \
-                 a sign test, or an exact predicate in \
-                 Geometry.Predicates"
-              :: !out
-        end)
-      ctx.code;
-    List.rev !out
-  end
+  else
+    applications [ "Stdlib.="; "Stdlib.<>" ] ctx
+    |> List.filter (fun (_, args) -> List.exists float_constant args)
+    |> List.map (fun (f, _) ->
+           finding ctx "F002" Diag.Error (pos f)
+             "exact float equality against a literal; use Float.equal, a \
+              sign test, or an exact predicate in Geometry.Predicates")
 
 (* ---------- H001: every library module has an interface ---------- *)
 
 let h001_check ctx =
-  if under "lib" ctx.path && not ctx.has_mli then
+  if under "lib" ctx.u.path && not ctx.u.has_mli then
     [
-      finding ctx "H001" Diag.Error 1 1
+      finding ctx "H001" Diag.Error (1, 1)
         "library module without an .mli: every lib/**/*.ml commits to an \
          interface";
     ]
@@ -169,59 +139,48 @@ let h001_check ctx =
 (* ---------- H002: Obj.magic ---------- *)
 
 let h002_check ctx =
-  Array.to_list ctx.code
-  |> List.filter_map (fun t ->
-         if
-           t.T.kind = T.Ident
-           && T.has_component t "Obj"
-           && T.last_component t = "magic"
-         then
-           Some
-             (finding ctx "H002" Diag.Error t.T.line t.T.col
-                "Obj.magic defeats the type system; find a typed \
-                 representation")
-         else None)
+  idents [ "Stdlib.Obj.magic" ] ctx
+  |> List.map (fun (e, _, _) ->
+         finding ctx "H002" Diag.Error (pos e)
+           "Obj.magic defeats the type system; find a typed representation")
 
 (* ---------- H003: silent dead ends ---------- *)
 
+let has_comment ctx line = Typed.find_sub "(*" (Typed.excerpt ctx.u line) <> None
+
 let h003_check ctx =
-  if under "test" ctx.path then []
+  if under "test" ctx.u.path then []
   else begin
-    let comment_lines =
-      List.fold_left (fun acc c -> c.T.line :: acc) [] ctx.comments
+    let asserts =
+      List.filter_map
+        (fun e ->
+          match e.exp_desc with
+          | Texp_assert ({ exp_desc = Texp_construct (_, c, []); _ }, _)
+            when c.Types.cstr_name = "false"
+                 && not (has_comment ctx (fst (pos e))) ->
+            Some
+              (finding ctx "H003" Diag.Warning (pos e)
+                 "bare 'assert false': state why the branch is unreachable \
+                  in a same-line comment, or raise a descriptive exception")
+          | _ -> None)
+        ctx.exprs
     in
-    let out = ref [] in
-    Array.iteri
-      (fun i t ->
-        if t.T.kind = T.Ident && t.T.text = "assert"
-           && tok_text ctx (i + 1) = "false"
-        then begin
-          if not (List.mem t.T.line comment_lines) then
-            out :=
-              finding ctx "H003" Diag.Warning t.T.line t.T.col
-                "bare 'assert false': state why the branch is unreachable \
-                 in a same-line comment, or raise a descriptive exception"
-              :: !out
-        end
-        else if t.T.kind = T.Ident && t.T.text = "failwith" then
-          match tok ctx (i + 1) with
-          | Some u when u.T.kind = T.String_lit && String.trim u.T.text = ""
-            ->
-            out :=
-              finding ctx "H003" Diag.Warning t.T.line t.T.col
-                "failwith with an empty message explains nothing; say what \
-                 failed"
-              :: !out
-          | _ -> ())
-      ctx.code;
-    List.rev !out
+    let empty_failwith =
+      applications [ "Stdlib.failwith" ] ctx
+      |> List.filter_map (fun (f, args) ->
+             match args with
+             | [ { exp_desc = Texp_constant (Const_string (s, _, _)); _ } ]
+               when String.trim s = "" ->
+               Some
+                 (finding ctx "H003" Diag.Warning (pos f)
+                    "failwith with an empty message explains nothing; say \
+                     what failed")
+             | _ -> None)
+    in
+    asserts @ empty_failwith
   end
 
 (* ---------- O001: metric name literals follow the naming convention ---------- *)
-
-let o001_registration = function
-  | "counter" | "dist" | "gauge" | "histogram" -> true
-  | _ -> false
 
 let o001_valid name =
   name <> ""
@@ -231,34 +190,24 @@ let o001_valid name =
        name
 
 let o001_check ctx =
-  let out = ref [] in
-  Array.iteri
-    (fun i t ->
-      if
-        t.T.kind = T.Ident
-        && T.has_component t "Obs"
-        && o001_registration (T.last_component t)
-      then
-        (* only literal registrations are checkable; a computed name
-           (Printf.sprintf ...) shows up as '(' and is skipped *)
-        match tok ctx (i + 1) with
-        | Some u when u.T.kind = T.String_lit ->
-          if not (o001_valid u.T.text) then
-            out :=
-              finding ctx "O001" Diag.Error u.T.line u.T.col
+  (* only literal registrations are checkable; a computed name
+     (Printf.sprintf ...) is skipped *)
+  applications [ "Obs.counter"; "Obs.dist"; "Obs.gauge"; "Obs.histogram" ] ctx
+  |> List.filter_map (fun (_, args) ->
+         match args with
+         | ({ exp_desc = Texp_constant (Const_string (name, _, _)); _ } as a)
+           :: _
+           when not (o001_valid name) ->
+           Some
+             (finding ctx "O001" Diag.Error (pos a)
                 (Printf.sprintf
                    "metric name %S breaks the dotted lowercase convention \
                     ([a-z0-9_.]+); registry keys sort into reports and \
                     become /metrics sample names"
-                   u.T.text)
-              :: !out
-        | _ -> ())
-    ctx.code;
-  List.rev !out
+                   name))
+         | _ -> None)
 
 (* ---------- O002: protocol trace events only via Distsim.Stamp ---------- *)
-
-let o002_hook = function "send" | "deliver" -> true | _ -> false
 
 let o002_check ctx =
   (* Raw [Obs.Trace.send]/[Obs.Trace.deliver] calls outside the
@@ -266,24 +215,17 @@ let o002_check ctx =
      happens-before DAG.  lib/distsim hosts Stamp (the single writer)
      and lib/obs defines the hooks; tests exercising the raw hooks are
      out of scope. *)
-  if not (in_any [ "lib"; "bin" ] ctx.path) then []
-  else if in_any [ "lib/distsim"; "lib/obs" ] ctx.path then []
+  if not (in_any [ "lib"; "bin" ] ctx.u.path) then []
+  else if in_any [ "lib/distsim"; "lib/obs" ] ctx.u.path then []
   else
-    Array.to_list ctx.code
-    |> List.filter_map (fun t ->
-           if
-             t.T.kind = T.Ident
-             && T.has_component t "Trace"
-             && o002_hook (T.last_component t)
-           then
-             Some
-               (finding ctx "O002" Diag.Error t.T.line t.T.col
-                  (Printf.sprintf
-                     "raw %s forks the Lamport clocks; protocol Send/Deliver \
-                      events must be emitted through Distsim.Stamp (the \
-                      single stamping writer)"
-                     t.T.text))
-           else None)
+    idents [ "Obs.Trace.send"; "Obs.Trace.deliver" ] ctx
+    |> List.map (fun (e, _, written) ->
+           finding ctx "O002" Diag.Error (pos e)
+             (Printf.sprintf
+                "raw %s forks the Lamport clocks; protocol Send/Deliver \
+                 events must be emitted through Distsim.Stamp (the single \
+                 stamping writer)"
+                written))
 
 (* ---------- catalog ---------- *)
 
@@ -295,10 +237,10 @@ let all =
       severity = Diag.Error;
       title = "no polymorphic compare on floats";
       doc =
-        "Polymorphic compare/min/max in lib/geometry, lib/netgraph and \
-         lib/delaunay boxes its arguments, falls through to C, and orders \
-         nan inconsistently with (<).  Use Float.compare / Int.compare or \
-         a typed comparator.";
+        "Polymorphic compare/min/max instantiated at float in lib/geometry, \
+         lib/netgraph and lib/delaunay boxes its arguments, falls through \
+         to C, and orders nan inconsistently with (<).  Use Float.compare \
+         / Int.compare or a typed comparator.";
       check = f001_check;
     };
     {

@@ -1,8 +1,8 @@
 (* Deliberately rule-breaking module used by the dune runtest smoke to
    check that spanner_lint exits 1 on a dirty tree.  One violation per
-   rule family (plus a missing .mli for H001); never built. *)
+   rule family (plus a missing .mli for H001); built with warnings off. *)
 
-let cache = Hashtbl.create 16 (* M001: toplevel mutable state *)
+let cache : (int, int) Hashtbl.t = Hashtbl.create 16 (* M001: toplevel mutable state *)
 
 let pick xs =
   let i = Random.int (List.length xs) (* D001 *) in

@@ -1,198 +1,161 @@
-(* The lint layer: tokenizer behaviour on the constructs that usually
-   break naive scanners (plus the torture cases that broke this one),
-   positive and negative fixtures for the local rules, multi-file
-   projects exercising the interprocedural layer (call-graph
-   resolution hard cases, Pool-reachability retargeting with witness
-   chains, E001–E003), suppression and baseline round-trips, the DOT
-   export's structure, and the self-lint — the repo must come out
-   clean under its own analyzer. *)
+(* The lint layer: positive and negative cases for the local rules,
+   multi-module projects exercising the interprocedural layer
+   (call-graph resolution hard cases, Pool-reachability with witness
+   chains, E001/E002), suppression and baseline round-trips, the
+   stale-input guard, the DOT export's structure, and the self-lint —
+   the repo must come out clean under its own analyzer.
+
+   Every case is compiled code: the modules under
+   test/fixtures/lint/cases are built by dune, and each case is one
+   nested module, linted under the repo path the case needs and
+   judged on the findings inside that module's lines. *)
 
 let check = Alcotest.(check bool)
 
-module T = Lint.Tokenizer
+(* Tests run from _build/default/test; the tree above it is the
+   (copied) repository root with the compiler's outputs next to the
+   sources, declared as deps in test/dune. *)
+let repo_root = ".."
 
-(* ---------- tokenizer ---------- *)
+let cases_dir = "test/fixtures/lint/cases"
 
-let kinds src = List.map (fun t -> t.T.kind) (T.tokenize src)
-let texts src = List.map (fun t -> t.T.text) (T.tokenize src)
+let loaded = Hashtbl.create 16
 
-let tok_nested_comments () =
-  check "nested comment is one token" true
-    (kinds "(* a (* nested *) b *) x" = [ T.Comment; T.Ident ]);
-  check "string closer inside comment ignored" true
-    (kinds "(* \"*)\" still comment *) y" = [ T.Comment; T.Ident ])
+(* The compiled case file [name], presented as [path]. *)
+let case ?(has_mli = true) ~path name =
+  let u =
+    match Hashtbl.find_opt loaded name with
+    | Some u -> u
+    | None -> (
+      match
+        Lint.Typed.load ~root:repo_root [ cases_dir ^ "/" ^ name ^ ".ml" ]
+      with
+      | u :: _ ->
+        Hashtbl.replace loaded name u;
+        u
+      | [] -> Alcotest.fail ("case file not loaded: " ^ name))
+  in
+  { u with Lint.Typed.path; has_mli }
 
-let tok_strings () =
-  check "escaped quote stays inside" true
-    (texts "\"a\\\"b\" z" = [ "a\\\"b"; "z" ]);
-  check "quoted string literal" true
-    (kinds "{xx|raw \" (* not a comment *) |xx} q"
-    = [ T.String_lit; T.Ident ]);
-  check "idents inside strings are not code" true
-    (kinds "\"Hashtbl.iter\"" = [ T.String_lit ])
+(* Line span of the nested module [m] of a case file. *)
+let span (u : Lint.Typed.t) m =
+  match
+    List.find_map
+      (fun (item : Typedtree.structure_item) ->
+        match item.str_desc with
+        | Tstr_module { mb_id = Some id; _ } when Ident.name id = m ->
+          Some (item.str_loc.loc_start.pos_lnum, item.str_loc.loc_end.pos_lnum)
+        | _ -> None)
+      u.structure.str_items
+  with
+  | Some s -> s
+  | None -> Alcotest.fail ("no case module " ^ m)
 
-let tok_chars () =
-  check "simple char" true (kinds "'a' f" = [ T.Char_lit; T.Ident ]);
-  check "escaped quote char" true (kinds "'\\''" = [ T.Char_lit ]);
-  check "newline escape" true (kinds "'\\n'" = [ T.Char_lit ]);
-  check "type variable is an op + ident" true
-    (kinds "'a list" = [ T.Op; T.Ident; T.Ident ])
-
-(* The cases that break naive scanners: literals nested inside
-   comments must be skipped the way the real lexer skips them, or a
-   comment-closer inside them eats the rest of the file. *)
-let tok_torture () =
-  check "char-lit quote inside comment does not open a string" true
-    (kinds "(* match c with '\"' -> () *) k" = [ T.Comment; T.Ident ]);
-  check "string with escaped quote then closer inside comment" true
-    (kinds "(* \"a\\\"*)\" b *) w" = [ T.Comment; T.Ident ]);
-  check "quoted string inside comment hides the closer" true
-    (kinds "(* {q|*)|q} *) y" = [ T.Comment; T.Ident ]);
-  check "escaped-quote char inside comment hides the closer" true
-    (kinds "(* '\\'' *) z" = [ T.Comment; T.Ident ]);
-  check "mismatched quoted-string id is not a closer" true
-    (texts "{a|xx |b} yy|a} z" = [ "xx |b} yy"; "z" ]);
-  check "empty-id quoted string" true
-    (kinds "{|raw \" body |} tail" = [ T.String_lit; T.Ident ]);
-  check "nested quoted delimiters stay one literal" true
-    (kinds "{outer|{inner|x|inner}|outer} e" = [ T.String_lit; T.Ident ]);
-  check "backslash-backslash before closing quote" true
-    (texts "\"a\\\\\" b" = [ "a\\\\"; "b" ]);
-  check "brace before pipe-less body is an op" true
-    (kinds "{ x = 1 }" <> [ T.String_lit ])
-
-let tok_dotted () =
-  check "dotted path merges" true
-    (texts "Stdlib.Random.self_init ()"
-    = [ "Stdlib.Random.self_init"; "("; ")" ]);
-  check "record access merges" true (List.mem "h.keys" (texts "h.keys <- x"));
-  check "array access does not merge" true
-    (texts "a.(0)" = [ "a"; "."; "("; "0"; ")" ]);
-  let t = List.hd (T.tokenize "Stdlib.Random.int") in
-  check "has_component" true (T.has_component t "Random");
-  check "has_component miss" false (T.has_component t "Rand");
-  check "last_component" true (T.last_component t = "int")
-
-let tok_numbers () =
-  check "float with exponent" true (kinds "1.5e3" = [ T.Float_lit ]);
-  check "trailing-dot float" true (kinds "9007.  " = [ T.Float_lit ]);
-  check "int" true (kinds "42" = [ T.Int_lit ]);
-  check "hex int" true (kinds "0x9E37L" = [ T.Int_lit ]);
-  check "line/col" true
-    (match T.tokenize "let x =\n  3.14" with
-    | [ _; _; _; f ] -> f.T.line = 2 && f.T.col = 3 && f.T.kind = T.Float_lit
-    | _ -> false)
-
-(* ---------- local rules: positive / negative fixtures ---------- *)
-
-let lint ?(path = "lib/geometry/snippet.ml") ?(has_mli = true) src =
-  fst (Lint.Engine.lint_source ~has_mli ~path src)
+let inside u m =
+  let lo, hi = span u m in
+  List.filter (fun (d : Lint.Diag.t) -> d.line >= lo && d.line <= hi)
 
 let rules_of ds = List.map (fun d -> d.Lint.Diag.rule) ds
-let fires r ?path ?has_mli src = List.mem r (rules_of (lint ?path ?has_mli src))
+
+(* ---------- local rules: positive / negative cases ---------- *)
+
+(* Does local rule [r] fire on case module [m] of file [name] linted
+   as [path]?  Without [m], anywhere in the file. *)
+let fires r ~path ?has_mli name ?m () =
+  let u = case ?has_mli ~path name in
+  let findings = fst (Lint.Engine.lint_unit u) in
+  let findings = match m with Some m -> inside u m findings | None -> findings in
+  List.mem r (rules_of findings)
 
 let f001 () =
-  check "List.sort compare flagged" true
-    (fires "F001" ~path:"lib/netgraph/x.ml" "let s l = List.sort compare l");
+  check "List.sort compare at float flagged" true
+    (fires "F001" ~path:"lib/netgraph/x.ml" "f001" ~m:"Sort_compare" ());
   check "min of float flagged" true
-    (fires "F001" ~path:"lib/geometry/x.ml" "let m x = min x 0.5");
+    (fires "F001" ~path:"lib/geometry/x.ml" "f001" ~m:"Min_float" ());
   check "Float.compare fine" false
-    (fires "F001" ~path:"lib/netgraph/x.ml"
-       "let s l = List.sort Float.compare l");
+    (fires "F001" ~path:"lib/netgraph/x.ml" "f001" ~m:"Float_compare" ());
   check "defining compare fine" false
-    (fires "F001" ~path:"lib/netgraph/x.ml" "let compare a b = 0");
+    (fires "F001" ~path:"lib/netgraph/x.ml" "f001" ~m:"Define_compare" ());
   check "int min fine" false
-    (fires "F001" ~path:"lib/netgraph/x.ml" "let m x = min 1 x");
+    (fires "F001" ~path:"lib/netgraph/x.ml" "f001" ~m:"Int_min" ());
   check "core out of scope" false
-    (fires "F001" ~path:"lib/core/x.ml" "let s l = List.sort compare l")
+    (fires "F001" ~path:"lib/core/x.ml" "f001" ~m:"Sort_compare" ())
 
 let f002 () =
   check "x = 0. flagged" true
-    (fires "F002" ~path:"lib/netgraph/x.ml" "let f x = x = 0.");
+    (fires "F002" ~path:"lib/netgraph/x.ml" "f002" ~m:"Eq_zero" ());
   check "<> 1e-9 flagged" true
-    (fires "F002" ~path:"lib/delaunay/x.ml" "let f x = x <> 1e-9");
+    (fires "F002" ~path:"lib/delaunay/x.ml" "f002" ~m:"Neq_eps" ());
   check "= nan flagged" true
-    (fires "F002" ~path:"lib/geometry/x.ml" "let f x = x = nan");
+    (fires "F002" ~path:"lib/geometry/x.ml" "f002" ~m:"Eq_nan" ());
   check "let binding fine" false
-    (fires "F002" ~path:"lib/geometry/x.ml" "let x = 0.");
+    (fires "F002" ~path:"lib/geometry/x.ml" "f002" ~m:"Let_binding" ());
   check "record literal fine" false
-    (fires "F002" ~path:"lib/geometry/x.ml"
-       "let p = { x = 0.; y = 1.5 }");
+    (fires "F002" ~path:"lib/geometry/x.ml" "f002" ~m:"Record_literal" ());
   check "optional default fine" false
-    (fires "F002" ~path:"lib/geometry/x.ml"
-       "let f ?(eps = 1e-9) x = x + eps");
+    (fires "F002" ~path:"lib/geometry/x.ml" "f002" ~m:"Optional_default" ());
   check "predicates.ml exempt" false
-    (fires "F002" ~path:"lib/geometry/predicates.ml" "let f e = e = 0.")
+    (fires "F002" ~path:"lib/geometry/predicates.ml" "f002" ~m:"Eq_zero" ())
 
 let h001 () =
   check "lib module without mli flagged" true
-    (fires "H001" ~path:"lib/geometry/x.ml" ~has_mli:false "let x = 1");
+    (fires "H001" ~path:"lib/geometry/x.ml" ~has_mli:false "plain" ());
   check "with mli fine" false
-    (fires "H001" ~path:"lib/geometry/x.ml" ~has_mli:true "let x = 1");
+    (fires "H001" ~path:"lib/geometry/x.ml" ~has_mli:true "plain" ());
   check "bin exempt" false
-    (fires "H001" ~path:"bin/x.ml" ~has_mli:false "let x = 1")
+    (fires "H001" ~path:"bin/x.ml" ~has_mli:false "plain" ())
 
 let h002 () =
   check "Obj.magic flagged" true
-    (fires "H002" ~path:"bin/x.ml" "let f x = Obj.magic x");
+    (fires "H002" ~path:"bin/x.ml" "h002" ~m:"Magic" ());
   check "Obj.repr fine" false
-    (fires "H002" ~path:"bin/x.ml" "let f x = Obj.repr x")
+    (fires "H002" ~path:"bin/x.ml" "h002" ~m:"Repr" ())
 
 let h003 () =
   check "bare assert false flagged" true
-    (fires "H003" ~path:"lib/core/x.ml" "let f () = assert false");
+    (fires "H003" ~path:"lib/core/x.ml" "h003" ~m:"Bare_assert" ());
   check "commented assert false fine" false
-    (fires "H003" ~path:"lib/core/x.ml"
-       "let f () = assert false (* unreachable: guarded above *)");
+    (fires "H003" ~path:"lib/core/x.ml" "h003" ~m:"Commented_assert" ());
   check "empty failwith flagged" true
-    (fires "H003" ~path:"lib/core/x.ml" "let f () = failwith \"\"");
+    (fires "H003" ~path:"lib/core/x.ml" "h003" ~m:"Empty_failwith" ());
   check "failwith with message fine" false
-    (fires "H003" ~path:"lib/core/x.ml" "let f () = failwith \"boom\"");
+    (fires "H003" ~path:"lib/core/x.ml" "h003" ~m:"Failwith_message" ());
   check "ordinary assert fine" false
-    (fires "H003" ~path:"lib/core/x.ml" "let f x = assert (x > 0)");
+    (fires "H003" ~path:"lib/core/x.ml" "h003" ~m:"Ordinary_assert" ());
   check "tests exempt" false
-    (fires "H003" ~path:"test/x.ml" "let f () = assert false")
+    (fires "H003" ~path:"test/x.ml" "h003" ~m:"Bare_assert" ())
 
 let o001 () =
   check "uppercase name flagged" true
-    (fires "O001" ~path:"lib/serve/x.ml"
-       "let c = Obs.counter \"Serve.Queries\"");
+    (fires "O001" ~path:"lib/serve/x.ml" "o001" ~m:"Uppercase" ());
   check "space in name flagged" true
-    (fires "O001" ~path:"bin/x.ml" "let d = Obs.dist \"serve hops\"");
+    (fires "O001" ~path:"bin/x.ml" "o001" ~m:"Space" ());
   check "dotted lowercase fine" false
-    (fires "O001" ~path:"lib/serve/x.ml"
-       "let c = Obs.counter \"serve.queries_total.v2\"");
+    (fires "O001" ~path:"lib/serve/x.ml" "o001" ~m:"Dotted" ());
   check "computed names skipped" false
-    (fires "O001" ~path:"bench/x.ml"
-       "let c = Obs.counter (Printf.sprintf \"bench.%s.n%d\" name n)")
+    (fires "O001" ~path:"bench/x.ml" "o001" ~m:"Computed" ())
 
 let o002 () =
   check "raw Obs.Trace.send in lib flagged" true
-    (fires "O002" ~path:"lib/core/x.ml"
-       "let f () = Obs.Trace.send ~round:0 ~time:0. ~kind:\"k\" ~src:0 \
-        ~dst:(-1) ~lam:1 ~sseq:0");
+    (fires "O002" ~path:"lib/core/x.ml" "o002" ~m:"Raw_send" ());
   check "the stamping helper itself is exempt" false
-    (fires "O002" ~path:"lib/distsim/stamp.ml"
-       "let f () = Obs.Trace.send ~round:0 ~time:0. ~kind:\"k\" ~src:0 \
-        ~dst:(-1) ~lam:1 ~sseq:0");
+    (fires "O002" ~path:"lib/distsim/stamp.ml" "o002" ~m:"Raw_send" ());
   check "unrelated sends out of scope" false
-    (fires "O002" ~path:"lib/core/x.ml" "let f ch m = Channel.send ch m")
+    (fires "O002" ~path:"lib/core/x.ml" "o002" ~m:"Channel_send" ())
 
 (* ---------- interprocedural layer ---------- *)
 
-(* [lint_project] over an in-memory multi-file project; [only]
-   restricts to the rule under test so H001 etc. stay out of the way. *)
-let project ?only files =
-  let findings, _, _ = Lint.Engine.lint_project ?only files in
-  findings
+(* Findings of rule [rule] (the only rule run) inside case module [m]
+   of file [name], linted as the one-unit project [path]. *)
+let project_findings rule ~path name m =
+  let u = case ~path name in
+  let findings, _, _ = Lint.Engine.lint_project ~only:[ rule ] [ u ] in
+  inside u m findings
 
-let pfires rule ?only files =
-  List.exists (fun d -> d.Lint.Diag.rule = rule) (project ?only files)
+let pfires rule ~path name m = project_findings rule ~path name m <> []
 
-let msg_of rule files =
-  match
-    List.filter (fun d -> d.Lint.Diag.rule = rule) (project ~only:[ rule ] files)
-  with
+let msg_of rule ~path name m =
+  match project_findings rule ~path name m with
   | d :: _ -> d.Lint.Diag.message
   | [] -> ""
 
@@ -201,303 +164,160 @@ let contains sub s =
   let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+let effects rule m = pfires rule ~path:"lib/core/a.ml" "effects" m
+
 (* Acceptance case: a multi-hop chain from a Pool.parallel_for
    callback to the flagged effect site, and the same effect in a
    function no seed reaches staying unflagged. *)
 let retarget_chain () =
-  let reachable =
-    [
-      ( "lib/core/a.ml",
-        "let leaf () = Random.int 5\n\n\
-         let middle () = leaf () + 1\n\n\
-         let driver p =\n\
-        \  Netgraph.Pool.parallel_for p ~n:2 (fun i -> ignore (middle () + i))\n"
-      );
-    ]
-  in
-  check "D001 fires through the chain" true
-    (pfires "D001" ~only:[ "D001" ] reachable);
-  let m = msg_of "D001" reachable in
+  check "D001 fires through the chain" true (effects "D001" "Chain");
+  let m = msg_of "D001" ~path:"lib/core/a.ml" "effects" "Chain" in
   check "witness chain is multi-hop" true
     (contains "->" m && contains "middle" m && contains "leaf" m);
   check "chain names the Pool call site" true
     (contains "Pool call at lib/core/a.ml" m);
-  let unreachable =
-    [
-      ( "lib/core/a.ml",
-        "let unrelated () = Random.int 7\n\n\
-         let calm x = x + 1\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:2 (fun i -> calm i)\n"
-      );
-    ]
-  in
   check "effectful but unreachable: not flagged" false
-    (pfires "D001" ~only:[ "D001" ] unreachable)
+    (effects "D001" "Unreachable")
 
 let retarget_rules () =
-  let seeded body =
-    [
-      ( "lib/core/a.ml",
-        body
-        ^ "\nlet driver p = Netgraph.Pool.parallel_for p ~n:2 (fun i -> work i)\n"
-      );
-    ]
-  in
-  check "D003 clock on parallel path" true
-    (pfires "D003" ~only:[ "D003" ]
-       (seeded "let work _ = Unix.gettimeofday ()"));
-  check "D003 clock off parallel path" false
-    (pfires "D003" ~only:[ "D003" ]
-       [ ("lib/core/a.ml", "let cold () = Unix.gettimeofday ()\n") ]);
+  check "D003 clock on parallel path" true (effects "D003" "Clock_on");
+  check "D003 clock off parallel path" false (effects "D003" "Clock_off");
   check "D002 unordered fold on parallel path" true
-    (pfires "D002" ~only:[ "D002" ]
-       (seeded "let work tbl = Hashtbl.fold (fun k _ a -> k :: a) tbl []"));
-  check "D002 sort-wrapped fold allowed" false
-    (pfires "D002" ~only:[ "D002" ]
-       (seeded
-          "let work tbl =\n\
-          \  List.sort cmp (Hashtbl.fold (fun k _ a -> k :: a) tbl [])"));
+    (effects "D002" "Unordered_fold");
+  check "D002 sort-wrapped fold allowed" false (effects "D002" "Sorted_fold");
   check "M001 shared global touched on parallel path" true
-    (pfires "M001" ~only:[ "M001" ]
-       (seeded "let acc = ref []\n\nlet work x = acc := x :: !acc"));
-  check "M001 Atomic global fine" false
-    (pfires "M001" ~only:[ "M001" ]
-       (seeded "let acc = Atomic.make 0\n\nlet work _ = Atomic.incr acc"));
+    (effects "M001" "Shared_global");
+  check "M001 Atomic global fine" false (effects "M001" "Atomic_global");
   check "M001 unreferenced global fine" false
-    (pfires "M001" ~only:[ "M001" ]
-       (seeded "let acc = ref []\n\nlet work x = x + 1"));
+    (effects "M001" "Unreferenced_global");
   check "M002 graph mutation on parallel path" true
-    (pfires "M002" ~only:[ "M002" ]
-       (seeded "let work g = Netgraph.Graph.add_edge g 0 1"));
-  check "M002 builder sealing fine" false
-    (pfires "M002" ~only:[ "M002" ]
-       (seeded "let work b = Builder.add_edge b 0 1"))
+    (effects "M002" "Graph_mut");
+  check "M002 builder sealing fine" false (effects "M002" "Builder_add")
 
 let e001_e002 () =
-  let files body =
-    [
-      ( "lib/core/a.ml",
-        body
-        ^ "\nlet driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> work i)\n"
-      );
-    ]
-  in
   check "E001 unguarded print on parallel path" true
-    (pfires "E001" ~only:[ "E001" ]
-       (files "let work _ = print_endline \"x\""));
+    (effects "E001" "Print_on");
   check "E001 guarded by an Atomic on the chain" false
-    (pfires "E001" ~only:[ "E001" ]
-       (files
-          "let once = Atomic.make false\n\n\
-           let work _ =\n\
-          \  if not (Atomic.exchange once true) then print_endline \"x\""));
-  check "E001 off the parallel path" false
-    (pfires "E001" ~only:[ "E001" ]
-       [ ("lib/core/a.ml", "let report () = print_endline \"x\"\n") ]);
-  check "E002 escaping failwith" true
-    (pfires "E002" ~only:[ "E002" ]
-       (files "let work u = if u < 0 then failwith \"neg\" else u"));
-  check "E002 handler on the chain" false
-    (pfires "E002" ~only:[ "E002" ]
-       (files
-          "let risky u = if u < 0 then failwith \"neg\" else u\n\n\
-           let work u = try risky u with _ -> 0"))
-
-let e003 () =
-  let drift =
-    [
-      ("lib/core/c.ml", "let visible () = 1\n\nlet hidden () = 2\n");
-      ("lib/core/c.mli", "val visible : unit -> int\n\nval ghost : unit -> int\n");
-    ]
-  in
-  let fs = project ~only:[ "E003" ] drift in
-  check "missing implementation flagged at the .mli" true
-    (List.exists
-       (fun d ->
-         d.Lint.Diag.file = "lib/core/c.mli" && contains "ghost" d.Lint.Diag.message)
-       fs);
-  check "dead unexported value flagged at the .ml" true
-    (List.exists
-       (fun d ->
-         d.Lint.Diag.file = "lib/core/c.ml" && contains "hidden" d.Lint.Diag.message)
-       fs);
-  let agreed =
-    [
-      ("lib/core/c.ml", "let visible () = 1\n\nlet helper () = 2\n\nlet also () = helper ()\n");
-      ("lib/core/c.mli", "val visible : unit -> int\n\nval also : unit -> int\n");
-    ]
-  in
-  check "agreeing surfaces are clean" false (pfires "E003" ~only:[ "E003" ] agreed);
-  let hazard =
-    [
-      ("lib/core/c.ml", "let hidden () = 2\n");
-      ("lib/core/c.mli", "include module type of Base\n");
-    ]
-  in
-  check "include in the .mli skips the unit" false
-    (pfires "E003" ~only:[ "E003" ] hazard)
+    (effects "E001" "Print_guarded");
+  check "E001 off the parallel path" false (effects "E001" "Print_off");
+  check "E002 escaping failwith" true (effects "E002" "Escaping_failwith");
+  check "E002 handler on the chain" false (effects "E002" "Handled")
 
 (* ---------- call-graph hard cases ---------- *)
 
+let graph_case m = pfires "D001" ~path:"lib/core/f.ml" "callgraph" m
+
+let d001_messages m =
+  List.map
+    (fun d -> d.Lint.Diag.message)
+    (project_findings "D001" ~path:"lib/core/f.ml" "callgraph" m)
+
 let cg_functor () =
-  let pos =
-    [
-      ( "lib/core/f.ml",
-        "module Cfg = struct\n\
-        \  let n = 3\n\
-         end\n\n\
-         module Mk (R : sig\n\
-        \  val n : int\n\
-         end) =\n\
-         struct\n\
-        \  let noisy () = Random.int R.n\n\n\
-        \  let unused_noise () = Random.bits ()\n\
-         end\n\n\
-         module Inst = Mk (Cfg)\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> Inst.noisy ())\n"
-      );
-    ]
-  in
-  let fs =
-    List.filter (fun d -> d.Lint.Diag.rule = "D001") (project ~only:[ "D001" ] pos)
-  in
+  let ms = d001_messages "Functor_app" in
   check "call through the functor instance is reachable" true
-    (List.exists (fun d -> contains "noisy" d.Lint.Diag.message) fs);
+    (List.exists (contains "noisy") ms);
   check "uncalled functor member is not flagged" false
-    (List.exists (fun d -> contains "unused_noise" d.Lint.Diag.message) fs)
+    (List.exists (contains "unused_noise") ms)
 
 let cg_local_open () =
-  let pos =
-    [
-      ( "lib/core/f.ml",
-        "module Helpers = struct\n\
-        \  let noisy () = Random.int 4\n\
-         end\n\n\
-         let f () =\n\
-        \  let open Helpers in\n\
-        \  noisy ()\n\n\
-         let lone () = Random.int 8\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
-  let fs =
-    List.filter (fun d -> d.Lint.Diag.rule = "D001") (project ~only:[ "D001" ] pos)
-  in
+  let ms = d001_messages "Local_open" in
   check "name through a let-open resolves and is reachable" true
-    (List.exists (fun d -> contains "noisy" d.Lint.Diag.message) fs);
+    (List.exists (contains "noisy") ms);
   check "effectful toplevel nothing calls stays unflagged" false
-    (List.exists (fun d -> contains "lone" d.Lint.Diag.message) fs)
+    (List.exists (contains "lone") ms)
 
 let cg_alias () =
-  let files call =
-    [
-      ( "lib/core/f.ml",
-        "module Helpers = struct\n\
-        \  let noisy () = Random.int 4\n\
-         end\n\n\
-         module H = Helpers\n\n\
-         let f () = " ^ call
-        ^ "\n\nlet driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
   check "aliased module path reaches the definition" true
-    (pfires "D001" ~only:[ "D001" ] (files "H.noisy ()"));
-  check "alias without the call stays clean" false
-    (pfires "D001" ~only:[ "D001" ] (files "0"))
+    (graph_case "Alias_call");
+  check "alias without the call stays clean" false (graph_case "Alias_no_call")
 
 let cg_shadowing () =
-  let shadowed =
-    [
-      ( "lib/core/f.ml",
-        "let noisy () = Random.int 4\n\n\
-         let f () =\n\
-        \  let noisy () = 0 in\n\
-        \  noisy ()\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
   check "local shadow cuts reachability to the toplevel" false
-    (pfires "D001" ~only:[ "D001" ] shadowed);
-  let unshadowed =
-    [
-      ( "lib/core/f.ml",
-        "let noisy () = Random.int 4\n\n\
-         let f () = noisy ()\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
+    (graph_case "Shadowed");
   check "without the shadow the toplevel is reachable" true
-    (pfires "D001" ~only:[ "D001" ] unshadowed)
+    (graph_case "Unshadowed")
 
 let cg_mutual_rec () =
-  let pos =
-    [
-      ( "lib/core/f.ml",
-        "let rec ping n = if n = 0 then Random.int 3 else pong (n - 1)\n\n\
-         and pong n = ping (n / 2)\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> pong i)\n"
-      );
-    ]
-  in
   check "mutual recursion: effect reaches through the cycle" true
-    (pfires "D001" ~only:[ "D001" ] pos);
-  let neg =
-    [
-      ( "lib/core/f.ml",
-        "let rec ping n = if n = 0 then Random.int 3 else pong (n - 1)\n\n\
-         and pong n = ping (n / 2)\n\n\
-         let other i = i + 1\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> other i)\n"
-      );
-    ]
-  in
+    (graph_case "Cycle_reached");
   check "cycle no seed reaches stays unflagged" false
-    (pfires "D001" ~only:[ "D001" ] neg)
+    (graph_case "Cycle_unreached")
+
+let cg_two_opens () =
+  check "the later open shadows the earlier one" false (graph_case "Two_opens");
+  check "swapped opens reach the effectful namesake" true
+    (graph_case "Two_opens_swapped")
 
 (* ---------- suppressions ---------- *)
 
 let suppression () =
-  let src =
-    "let f x =\n\
-    \  (* lint: disable H002 serialized through a stable tag, reviewed *)\n\
-    \  Obj.magic x"
-  in
-  let findings, cut = Lint.Engine.lint_source ~path:"lib/core/x.ml" src in
+  let u = case ~path:"lib/core/x.ml" "suppress" in
+  let findings, cut = Lint.Engine.lint_unit u in
   check "suppressed" true
-    (not (List.mem "H002" (rules_of findings)));
+    (not (List.mem "H002" (rules_of (inside u "Reasoned" findings))));
   check "counted" true (cut = 1);
-  let wrong =
-    "let f x =\n\
-    \  (* lint: disable H003 wrong rule *)\n\
-    \  Obj.magic x"
-  in
   check "wrong rule id does not silence" true
-    (fires "H002" ~path:"lib/core/x.ml" wrong);
-  let reasonless =
-    "let f x =\n\
-    \  (* lint: disable H002 *)\n\
-    \  Obj.magic x"
-  in
+    (List.mem "H002" (rules_of (inside u "Wrong_rule" findings)));
   check "reasonless suppression is inert" true
-    (fires "H002" ~path:"lib/core/x.ml" reasonless);
+    (List.mem "H002" (rules_of (inside u "Reasonless" findings)));
   (* interprocedural findings honour the same inline suppressions *)
-  let proj =
-    [
-      ( "lib/core/a.ml",
-        "let work _ =\n\
-        \  (* lint: disable E001 single writer: the pool pins slot 0 *)\n\
-        \  print_endline \"x\"\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> work i)\n"
-      );
-    ]
+  let findings, cut, _ =
+    Lint.Engine.lint_project ~only:[ "E001" ]
+      [ case ~path:"lib/core/a.ml" "suppress_effect" ]
   in
-  let findings, cut, _ = Lint.Engine.lint_project ~only:[ "E001" ] proj in
   check "effect finding suppressed in its file" true (findings = []);
   check "effect suppression counted" true (cut = 1)
+
+(* ---------- stale-input guard ---------- *)
+
+let copy src dst =
+  let ic = open_in_bin src in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin dst in
+  output_string oc s;
+  close_out oc
+
+(* A scratch root holding one source and (optionally) its .cmt in a
+   dune-style object directory: a missing .cmt and one compiled from
+   other contents must both be refused, naming the file. *)
+let stale_guard () =
+  let root = Filename.temp_dir "lint_stale" "" in
+  let dir = Filename.concat root "lib/core" in
+  let objs = Filename.concat dir ".core.objs/byte" in
+  List.iter
+    (fun d -> Sys.mkdir d 0o755)
+    [
+      Filename.concat root "lib"; dir; Filename.concat dir ".core.objs"; objs;
+    ];
+  let src = Filename.concat repo_root (cases_dir ^ "/plain.ml") in
+  let cmt =
+    Filename.concat repo_root
+      (cases_dir ^ "/.lint_cases.objs/byte/lint_cases__Plain.cmt")
+  in
+  let refused () =
+    match Lint.Typed.load ~root [ "lib/core/plain.ml" ] with
+    | _ -> None
+    | exception Lint.Typed.Stale msg -> Some msg
+  in
+  copy src (Filename.concat dir "plain.ml");
+  check "missing .cmt refused, naming the file" true
+    (match refused () with
+    | Some msg -> contains "lib/core/plain.ml" msg
+    | None -> false);
+  copy cmt (Filename.concat objs "lint_cases__Plain.cmt");
+  check "matching .cmt accepted" true (refused () = None);
+  let oc = open_out_gen [ Open_append ] 0o644 (Filename.concat dir "plain.ml") in
+  output_string oc "let y = 2\n";
+  close_out oc;
+  check "edited source refused, naming the file" true
+    (match refused () with
+    | Some msg -> contains "lib/core/plain.ml" msg
+    | None -> false);
+  Sys.remove (Filename.concat objs "lint_cases__Plain.cmt");
+  Sys.remove (Filename.concat dir "plain.ml");
+  List.iter Sys.rmdir
+    [ objs; Filename.concat dir ".core.objs"; dir; Filename.concat root "lib"; root ]
 
 (* ---------- baseline ---------- *)
 
@@ -605,17 +425,9 @@ let json_roundtrip () =
 
 (* ---------- self-lint, stats, DOT ---------- *)
 
-(* Tests run from _build/default/test; the tree above it is the
-   (copied) repository root, declared as deps in test/dune. *)
-let repo_root = ".."
-
 let self_analysis () =
-  let files =
-    Lint.Engine.project_files repo_root
-    |> List.filter (fun (p, _) ->
-           String.length p > 4 && String.sub p 0 4 = "lib/")
-  in
-  Lint.Effects.analyze (Lint.Callgraph.of_sources files)
+  Lint.Effects.analyze
+    (Lint.Callgraph.build (Lint.Engine.load ~lib_only:true repo_root))
 
 let self_lint () =
   let baseline_file = Filename.concat repo_root "lint.baseline" in
@@ -740,15 +552,6 @@ let catalog () =
 
 let suites =
   [
-    ( "lint.tokenizer",
-      [
-        Alcotest.test_case "nested comments" `Quick tok_nested_comments;
-        Alcotest.test_case "strings" `Quick tok_strings;
-        Alcotest.test_case "chars" `Quick tok_chars;
-        Alcotest.test_case "torture: literals in comments" `Quick tok_torture;
-        Alcotest.test_case "dotted paths" `Quick tok_dotted;
-        Alcotest.test_case "numbers, positions" `Quick tok_numbers;
-      ] );
     ( "lint.rules",
       [
         Alcotest.test_case "F001 poly compare" `Quick f001;
@@ -765,7 +568,6 @@ let suites =
         Alcotest.test_case "retarget: witness chain" `Quick retarget_chain;
         Alcotest.test_case "retarget: D002 D003 M001 M002" `Quick retarget_rules;
         Alcotest.test_case "E001/E002 guards and handlers" `Quick e001_e002;
-        Alcotest.test_case "E003 mli drift" `Quick e003;
       ] );
     ( "lint.callgraph",
       [
@@ -774,6 +576,7 @@ let suites =
         Alcotest.test_case "module alias" `Quick cg_alias;
         Alcotest.test_case "shadowed names" `Quick cg_shadowing;
         Alcotest.test_case "mutual let rec" `Quick cg_mutual_rec;
+        Alcotest.test_case "two opens" `Quick cg_two_opens;
       ] );
     ( "lint.plumbing",
       [
@@ -782,6 +585,7 @@ let suites =
         Alcotest.test_case "baseline apply" `Quick baseline_apply;
         Alcotest.test_case "baseline reason merge" `Quick baseline_merge;
         Alcotest.test_case "json round-trip" `Quick json_roundtrip;
+        Alcotest.test_case "stale .cmt refused" `Quick stale_guard;
       ] );
     ( "lint.self",
       [
