@@ -390,8 +390,9 @@ let extension_quasi_udg cfg =
             let cds = Core.Cds.of_udg g in
             let l = Core.Ldel.build cds.Core.Cds.icds pts ~radius:r_max in
             let planar = l.Core.Ldel.planar in
-            if Netgraph.Planarity.is_planar planar pts then incr planar_ok;
-            crossings := !crossings + Netgraph.Planarity.crossing_count planar pts;
+            let c = Netgraph.Planarity.crossing_count planar pts in
+            if c = 0 then incr planar_ok;
+            crossings := !crossings + c;
             edges := !edges + Netgraph.Graph.edge_count planar;
             let spanning = Netgraph.Graph.copy planar in
             Array.iteri

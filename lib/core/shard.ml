@@ -62,8 +62,8 @@ let tiling ?tiles points ~radius =
       points;
     let side = Float.max (!x1 -. !x0) (!y1 -. !y0) in
     let cell = Float.max radius (side /. float_of_int k) in
-    let grid = Wireless.Cellgrid.create ~cell_size:cell points in
-    Array.init (Wireless.Cellgrid.cells grid) (Wireless.Cellgrid.nodes_of grid)
+    let grid = Geometry.Cellgrid.create ~cell_size:cell points in
+    Array.init (Geometry.Cellgrid.cells grid) (Geometry.Cellgrid.nodes_of grid)
   end
 
 (* Dominatee -> adjacent-dominator links, appended off each

@@ -1,51 +1,115 @@
 (* Written against the read-only View; Graph-typed adapters at the
-   bottom keep existing callers compiling. *)
+   bottom keep existing callers compiling.  Why the midpoint-grid
+   candidate scan below misses no crossing: see planarity.mli. *)
 
-let segments g (points : Geometry.Point.t array) =
-  List.map
-    (fun (u, v) -> ((u, v), Geometry.Segment.make points.(u) points.(v)))
-    (View.edges g)
+module S = Geometry.Segment
 
-let share_endpoint (u1, v1) (u2, v2) =
-  u1 = u2 || u1 = v2 || v1 = u2 || v1 = v2
+let c_candidates = Obs.counter "planarity.candidates"
+
+(* Relative padding of the cell side.  Float rounding in the lengths,
+   the midpoints and the cell-index arithmetic is a few ulps of L and
+   of the coordinates' magnitude; padding by 1e-9 of both keeps the
+   computed cell indices of a true pair at most one apart. *)
+let margin = 1e-9
+
+let share_endpoint u1 v1 u2 v2 = u1 = u2 || u1 = v2 || v1 = u2 || v1 = v2
+
+(* Cell side for [m] segments with midpoints [mids] and longest length
+   [longest].  The lower bound [span / (1 + sqrt m)] only ever enlarges
+   the cells (which cannot lose a pair); it caps the grid at O(m)
+   cells when every edge is short compared with the spread of the
+   graph. *)
+let cell_side m mids longest =
+  let x0 = ref infinity and x1 = ref neg_infinity in
+  let y0 = ref infinity and y1 = ref neg_infinity in
+  let scale = ref 0. in
+  Array.iter
+    (fun (p : Geometry.Point.t) ->
+      x0 := Float.min !x0 p.x;
+      x1 := Float.max !x1 p.x;
+      y0 := Float.min !y0 p.y;
+      y1 := Float.max !y1 p.y;
+      scale := Float.max !scale (Float.max (Float.abs p.x) (Float.abs p.y)))
+    mids;
+  let span = Float.max (!x1 -. !x0) (!y1 -. !y0) in
+  let lossless = (longest *. (1. +. margin)) +. (margin *. !scale) in
+  let capped =
+    span /. float_of_int (1 + int_of_float (sqrt (float_of_int m)))
+  in
+  let side = Float.max lossless capped in
+  if side > 0. then side else 1.
+
+(* [iter_crossings g points f] calls [f u1 v1 u2 v2] for every pair of
+   properly crossing edges, in all-pairs scan order: (u1, v1) before
+   (u2, v2) in [View.edges g], pairs ascending by the first edge's
+   index and then the second's.  The scan stops once [f]
+   returns [false] (after the current first edge's hits). *)
+let iter_crossings g points f =
+  Obs.span "planarity" (fun () ->
+      let m = View.edge_count g in
+      let eu = Array.make m 0 and ev = Array.make m 0 in
+      let k = ref 0 in
+      View.iter_edges g (fun u v ->
+          eu.(!k) <- u;
+          ev.(!k) <- v;
+          incr k);
+      let seg =
+        Array.init m (fun i -> S.make points.(eu.(i)) points.(ev.(i)))
+      in
+      let longest =
+        Array.fold_left (fun l s -> Float.max l (S.length s)) 0. seg
+      in
+      let mids = Array.map S.midpoint seg in
+      let grid =
+        Geometry.Cellgrid.create ~cell_size:(cell_side m mids longest) mids
+      in
+      (* edge [i]'s hits, sorted before they are reported *)
+      let hits = Array.make m 0 in
+      let candidates = ref 0 in
+      let rec from i =
+        if i < m then begin
+          let u1 = eu.(i) and v1 = ev.(i) and s1 = seg.(i) in
+          let nh = ref 0 in
+          Geometry.Cellgrid.iter_near grid i (fun j ->
+              if j > i then begin
+                incr candidates;
+                if
+                  (not (share_endpoint u1 v1 eu.(j) ev.(j)))
+                  && S.properly_intersect s1 seg.(j)
+                then begin
+                  hits.(!nh) <- j;
+                  incr nh
+                end
+              end);
+          let found = Array.sub hits 0 !nh in
+          Array.sort Int.compare found;
+          if Array.for_all (fun j -> f u1 v1 eu.(j) ev.(j)) found then
+            from (i + 1)
+        end
+      in
+      from 0;
+      Obs.add c_candidates !candidates)
 
 let crossing_pairs_v g points =
-  let segs = Array.of_list (segments g points) in
-  let m = Array.length segs in
   let acc = ref [] in
-  for i = 0 to m - 1 do
-    for j = i + 1 to m - 1 do
-      let e1, s1 = segs.(i) and e2, s2 = segs.(j) in
-      if
-        (not (share_endpoint e1 e2))
-        && Geometry.Segment.properly_intersect s1 s2
-      then acc := (e1, e2) :: !acc
-    done
-  done;
+  iter_crossings g points (fun u1 v1 u2 v2 ->
+      acc := ((u1, v1), (u2, v2)) :: !acc;
+      true);
   List.rev !acc
 
-let crossing_count_v g points = List.length (crossing_pairs_v g points)
+let crossing_count_v g points =
+  let count = ref 0 in
+  iter_crossings g points (fun _ _ _ _ ->
+      incr count;
+      true);
+  !count
 
 let is_planar_v g points =
-  (* Same pairwise scan as [crossing_pairs] but with early exit. *)
-  let segs = Array.of_list (segments g points) in
-  let m = Array.length segs in
-  let rec outer i =
-    if i >= m then true
-    else
-      let rec inner j =
-        if j >= m then true
-        else
-          let e1, s1 = segs.(i) and e2, s2 = segs.(j) in
-          if
-            (not (share_endpoint e1 e2))
-            && Geometry.Segment.properly_intersect s1 s2
-          then false
-          else inner (j + 1)
-      in
-      if inner (i + 1) then outer (i + 1) else false
-  in
-  outer 0
+  let planar = ref true in
+  iter_crossings g points (fun _ _ _ _ ->
+      planar := false;
+      false);
+  !planar
 
 let euler_bound_ok_v g =
   let n = View.node_count g in

@@ -24,7 +24,7 @@ let build_csr ?pool points ~radius =
   let n = Array.length points in
   let deg = Array.make (max 1 (n + 1)) 0 in
   if n > 1 then begin
-    let grid = Cellgrid.create ~cell_size:radius points in
+    let grid = Geometry.Cellgrid.create ~cell_size:radius points in
     let for_all_nodes body =
       match pool with
       | Some p -> Netgraph.Pool.parallel_for p ~n (fun () -> body)
@@ -35,7 +35,7 @@ let build_csr ?pool points ~radius =
     in
     let count u =
       let d = ref 0 in
-      Cellgrid.iter_near grid u (fun v ->
+      Geometry.Cellgrid.iter_near grid u (fun v ->
           if v <> u && P.dist points.(u) points.(v) <= radius then incr d);
       deg.(u + 1) <- !d
     in
@@ -47,7 +47,7 @@ let build_csr ?pool points ~radius =
     let targets = Array.make offsets.(n) 0 in
     let fill u =
       let k = ref offsets.(u) in
-      Cellgrid.iter_near grid u (fun v ->
+      Geometry.Cellgrid.iter_near grid u (fun v ->
           if v <> u && P.dist points.(u) points.(v) <= radius then begin
             targets.(!k) <- v;
             incr k

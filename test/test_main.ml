@@ -1,7 +1,8 @@
 let () =
   Alcotest.run "geospanner"
-    (Test_geometry.suites @ Test_netgraph.suites @ Test_delaunay.suites
-   @ Test_wireless.suites @ Test_distsim.suites @ Test_mis.suites
+    (Test_geometry.suites @ Test_netgraph.suites @ Test_planarity.suites
+   @ Test_delaunay.suites @ Test_wireless.suites @ Test_distsim.suites
+   @ Test_mis.suites
    @ Test_cds.suites @ Test_ldel.suites @ Test_protocol.suites
    @ Test_routing.suites @ Test_properties.suites @ Test_viz.suites
    @ Test_maintenance.suites @ Test_claims.suites @ Test_broadcast.suites

@@ -21,8 +21,8 @@ let deployment seed n side radius =
    some tests below use a round-robin split instead *)
 let spatial_tiles pts k =
   let side = 200. in
-  let grid = Wireless.Cellgrid.create ~cell_size:(side /. float_of_int k) pts in
-  Array.init (Wireless.Cellgrid.cells grid) (Wireless.Cellgrid.nodes_of grid)
+  let grid = Geometry.Cellgrid.create ~cell_size:(side /. float_of_int k) pts in
+  Array.init (Geometry.Cellgrid.cells grid) (Geometry.Cellgrid.nodes_of grid)
 
 let round_robin_tiles n k =
   let tiles = Array.make k [] in
@@ -233,8 +233,8 @@ let induce pts ids =
 let halo_ids grid cell ~rings =
   let acc = ref [] in
   for r = 0 to rings do
-    Wireless.Cellgrid.iter_ring_cells grid cell r (fun k ->
-        Wireless.Cellgrid.iter_cell grid k (fun u -> acc := u :: !acc))
+    Geometry.Cellgrid.iter_ring_cells grid cell r (fun k ->
+        Geometry.Cellgrid.iter_cell grid k (fun u -> acc := u :: !acc))
   done;
   List.sort_uniq Int.compare !acc
 
@@ -248,8 +248,8 @@ let test_connectors_halo () =
   let pts, g = deployment 31L 800 300. radius in
   let roles = Core.Mis.compute g in
   let full = Core.Connectors.find g roles in
-  let grid = Wireless.Cellgrid.create ~cell_size:radius pts in
-  let n_cells = Wireless.Cellgrid.cells grid in
+  let grid = Geometry.Cellgrid.create ~cell_size:radius pts in
+  let n_cells = Geometry.Cellgrid.cells grid in
   List.iter
     (fun cell ->
       let cell = cell mod n_cells in
@@ -259,7 +259,7 @@ let test_connectors_halo () =
       let sub_g = Wireless.Udg.build sub_pts ~radius in
       let sub_roles = Array.map (fun u -> roles.(u)) old_of in
       let sub = Core.Connectors.find sub_g sub_roles in
-      let in_tile u = Wireless.Cellgrid.cell_of grid u = cell in
+      let in_tile u = Geometry.Cellgrid.cell_of grid u = cell in
       (* tile-owned pairs of the full run, in halo coordinates *)
       let owned pairs =
         List.filter_map
@@ -293,8 +293,8 @@ let test_ldel_halo () =
   let radius = 28. in
   let pts, g = deployment 34L 600 250. radius in
   let full = Core.Ldel.build g pts ~radius in
-  let grid = Wireless.Cellgrid.create ~cell_size:radius pts in
-  let n_cells = Wireless.Cellgrid.cells grid in
+  let grid = Geometry.Cellgrid.create ~cell_size:radius pts in
+  let n_cells = Geometry.Cellgrid.cells grid in
   List.iter
     (fun cell ->
       let cell = cell mod n_cells in
@@ -302,7 +302,7 @@ let test_ldel_halo () =
         induce pts (halo_ids grid cell ~rings:2)
       in
       let sub = Core.Ldel.build (Wireless.Udg.build sub_pts ~radius) sub_pts ~radius in
-      let in_tile u = Wireless.Cellgrid.cell_of grid u = cell in
+      let in_tile u = Geometry.Cellgrid.cell_of grid u = cell in
       let tag s = Printf.sprintf "%s cell=%d" s cell in
       edge_list (tag "gabriel halo")
         (List.filter_map
