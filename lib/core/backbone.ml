@@ -213,8 +213,14 @@ let registry = baseline_registry @ backbone_registry
 
 let names = List.map (fun (n, _, _) -> n) registry
 
+(* One [structures] span with a child span per entry: a command that
+   derives its structures shows where that time goes. *)
 let materialize entries t =
-  List.map (fun (name, builder, scope) -> (name, builder t, scope)) entries
+  Obs.span "structures" (fun () ->
+      List.map
+        (fun (name, builder, scope) ->
+          (name, Obs.span name (fun () -> builder t), scope))
+        entries)
 
 let structures t = materialize registry t
 let backbone_structures t = materialize backbone_registry t

@@ -113,7 +113,9 @@ val registry :
 (** Registry names, in Table I order. *)
 val names : string list
 
-(** [structures t] materializes the whole registry on one instance. *)
+(** [structures t] materializes the whole registry on one instance.
+    The three materializing functions run in an [Obs] span
+    [structures] with one child span per entry, named after it. *)
 val structures :
   t -> (string * Netgraph.Graph.t * [ `Spans_all | `Backbone_only ]) list
 

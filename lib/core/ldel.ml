@@ -10,30 +10,44 @@ type t = {
   kept_triangles : (int * int * int) list;
 }
 
-let norm3 (a, b, c) =
-  let l = List.sort compare [ a; b; c ] in
-  match l with
-  | [ x; y; z ] -> (x, y, z)
-  | _ -> assert false (* sort preserves the three elements *)
+(* The three ids in ascending order: [List.sort compare] on a triple,
+   without the list. *)
+let norm3 a b c =
+  if a <= b then
+    if b <= c then (a, b, c) else if a <= c then (a, c, b) else (c, a, b)
+  else if a <= c then (b, a, c)
+  else if b <= c then (b, c, a)
+  else (c, b, a)
+
+let cmp_tri (a1, b1, c1) (a2, b2, c2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare b1 b2 in
+    if c <> 0 then c else Int.compare c1 c2
+
+let cmp_pair (a1, b1) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
 
 (* What one node computes in Algorithm 2 from purely local data: the
-   Delaunay triangulation of itself plus its 1-hop neighbors, filtered
-   to the triangles it participates in.  Both the centralized builder
-   and the distributed protocol call this with the same inputs, which
-   is what makes their outputs identical. *)
-let local_triangles_of_neighborhood ~me ~me_pos ~nbrs =
-  match nbrs with
-  | [] | [ _ ] -> []
-  | _ ->
-    let locals = Array.of_list ((me, me_pos) :: nbrs) in
-    let local_pts = Array.map snd locals in
-    let dt = Delaunay.Triangulation.triangulate local_pts in
+   Delaunay triangulation of itself ([ids.(0)], at [pos.(0)]) plus its
+   1-hop neighbors, filtered to the triangles it participates in.
+   Both the centralized builders and the distributed protocol call
+   this with the same inputs, which is what makes their outputs
+   identical. *)
+let local_triangles ids pos =
+  if Array.length ids < 3 then []
+  else
     List.filter_map
       (fun (a, b, c) ->
-        if a = 0 || b = 0 || c = 0 then
-          Some (norm3 (fst locals.(a), fst locals.(b), fst locals.(c)))
+        if a = 0 || b = 0 || c = 0 then Some (norm3 ids.(a) ids.(b) ids.(c))
         else None)
-      (Delaunay.Triangulation.triangles dt)
+      (Delaunay.Triangulation.triangles (Delaunay.Triangulation.triangulate pos))
+
+let local_triangles_of_neighborhood ~me ~me_pos ~nbrs =
+  let locals = Array.of_list ((me, me_pos) :: nbrs) in
+  local_triangles (Array.map fst locals) (Array.map snd locals)
 
 let local_delaunay_triangles g points u =
   local_triangles_of_neighborhood ~me:u ~me_pos:points.(u)
@@ -51,13 +65,15 @@ let local_delaunay_triangles_k g points ~k u =
 module TriSet = Set.Make (struct
   type t = int * int * int
 
-  let compare = compare
+  let compare = cmp_tri
 end)
 
-let triangle_fits points ~radius (a, b, c) =
+let fits points ~radius a b c =
   P.dist points.(a) points.(b) <= radius
   && P.dist points.(b) points.(c) <= radius
   && P.dist points.(a) points.(c) <= radius
+
+let triangle_fits points ~radius (a, b, c) = fits points ~radius a b c
 
 let accepted_triangles_gen g points ~radius ~local_triangles =
   let n = G.node_count g in
@@ -82,91 +98,172 @@ let accepted_triangles_gen g points ~radius ~local_triangles =
   done;
   TriSet.elements !acc
 
-let triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
-  let t1 = [ a1; b1; c1 ] and t2 = [ a2; b2; c2 ] in
-  let shared v = List.mem v t1 in
-  let edge_of l =
-    match l with
-    | [ x; y; z ] -> [ (x, y); (y, z); (z, x) ]
-    | _ -> assert false (* only ever applied to 3-element triangle lists *)
-  in
-  let seg (u, v) = Geometry.Segment.make points.(u) points.(v) in
-  let crossing =
-    List.exists
-      (fun e1 ->
-        List.exists
-          (fun e2 -> Geometry.Segment.properly_intersect (seg e1) (seg e2))
-          (edge_of t2))
-      (edge_of t1)
-  in
-  crossing
-  ||
-  let strictly_inside (x, y, z) v =
-    let inside_ccw a b c p =
-      Pred.orient2d points.(a) points.(b) p = Pred.Ccw
-      && Pred.orient2d points.(b) points.(c) p = Pred.Ccw
-      && Pred.orient2d points.(c) points.(a) p = Pred.Ccw
-    in
-    match Pred.orient2d points.(x) points.(y) points.(z) with
-    | Pred.Ccw -> inside_ccw x y z points.(v)
-    | Pred.Cw -> inside_ccw x z y points.(v)
-    | Pred.Collinear -> false
-  in
-  List.exists (fun v -> (not (shared v)) && strictly_inside (a1, b1, c1) v) t2
-  || List.exists
-       (fun v -> (not (List.mem v t2)) && strictly_inside (a2, b2, c2) v)
-       t1
+(* ---- Algorithm 3: one flat pair kernel ---------------------------- *)
 
-let circumcircle_contains points (a, b, c) v =
+(* The pair test below calls the exact predicates on corner ids
+   directly: no triangle, segment or corner list is built per pair. *)
+
+let opposite o1 o2 =
+  match (o1, o2) with
+  | Pred.Ccw, Pred.Cw | Pred.Cw, Pred.Ccw -> true
+  | _ -> false
+
+(* Edges [a b] and [c d] properly cross
+   ([Geometry.Segment.properly_intersect] of their points).  A pair
+   sharing an endpoint id is rejected before any predicate: orient2d
+   with a repeated point is exactly [Collinear], so such a pair can
+   never properly cross. *)
+let edges_cross points a b c d =
+  a <> c && a <> d && b <> c && b <> d
+  &&
+  let pa = points.(a) and pb = points.(b) in
+  let pc = points.(c) and pd = points.(d) in
+  opposite (Pred.orient2d pa pb pc) (Pred.orient2d pa pb pd)
+  && opposite (Pred.orient2d pc pd pa) (Pred.orient2d pc pd pb)
+
+let edge_crosses_triangle points a b x y z =
+  edges_cross points a b x y || edges_cross points a b y z
+  || edges_cross points a b z x
+
+let left_of points a b p =
+  match Pred.orient2d points.(a) points.(b) p with
+  | Pred.Ccw -> true
+  | Pred.Cw | Pred.Collinear -> false
+
+(* [v] is not a corner of triangle [x y z], whose orientation is [o],
+   and lies strictly inside it. *)
+let strictly_inside points o x y z v =
+  v <> x && v <> y && v <> z
+  &&
+  let p = points.(v) in
+  match o with
+  | Pred.Ccw -> left_of points x y p && left_of points y z p && left_of points z x p
+  | Pred.Cw -> left_of points x z p && left_of points z y p && left_of points y x p
+  | Pred.Collinear -> false
+
+let intersect points o1 a1 b1 c1 o2 a2 b2 c2 =
+  edge_crosses_triangle points a1 b1 a2 b2 c2
+  || edge_crosses_triangle points b1 c1 a2 b2 c2
+  || edge_crosses_triangle points c1 a1 a2 b2 c2
+  || strictly_inside points o1 a1 b1 c1 a2
+  || strictly_inside points o1 a1 b1 c1 b2
+  || strictly_inside points o1 a1 b1 c1 c2
+  || strictly_inside points o2 a2 b2 c2 a1
+  || strictly_inside points o2 a2 b2 c2 b1
+  || strictly_inside points o2 a2 b2 c2 c1
+
+let circ_contains points a b c v =
   v <> a && v <> b && v <> c
   && Pred.incircle points.(a) points.(b) points.(c) points.(v)
+
+(* the circumcircle of [a b c] holds a corner of [x y z] *)
+let circ_holds_corner points a b c x y z =
+  circ_contains points a b c x || circ_contains points a b c y
+  || circ_contains points a b c z
+
+let orientation points a b c = Pred.orient2d points.(a) points.(b) points.(c)
+
+let triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
+  intersect points
+    (orientation points a1 b1 c1)
+    a1 b1 c1
+    (orientation points a2 b2 c2)
+    a2 b2 c2
+
+let circumcircle_contains points (a, b, c) v = circ_contains points a b c v
 
 (* A triangle pair can only be compared by nodes that hear about both:
    in Algorithm 3 a node gathers the triangles of its 1-hop neighbors,
    so corner visibility is required.  This mirrors exactly what the
    distributed protocol can decide. *)
-let mutually_visible g t1 t2 =
-  let corners (a, b, c) = [ a; b; c ] in
-  List.exists
-    (fun c1 ->
-      List.exists (fun c2 -> c1 = c2 || G.has_edge g c1 c2) (corners t2))
-    (corners t1)
+let sees visible x a b c =
+  x = a || x = b || x = c || visible x a || visible x b || visible x c
+
+let mutually_visible visible a1 b1 c1 a2 b2 c2 =
+  sees visible a1 a2 b2 c2 || sees visible b1 a2 b2 c2
+  || sees visible c1 a2 b2 c2
+
+(* Algorithm 3 over a flat triangle store: corners of triangle [i] in
+   [tv.(3i .. 3i+2)], its orientation in [tor.(i)], its bounding box
+   in four float arrays.  Triangles are bucketed by bbox min-corner in
+   a [Geometry.Cellgrid] whose side covers the largest bbox side L:
+   two overlapping bboxes have min-corners within L of each other in
+   x and in y, so they sit in the same or adjacent cells, and scanning
+   the 3x3 block around each triangle visits every overlapping pair.
+   [visible x y] is the gathering graph's adjacency.  Pair decisions
+   are pure predicates of the snapshot (they never read the removal
+   flags), so processing pair (i, j) from i's worker and letting
+   [removed] writes race on the identical value [true] loses nothing:
+   the flags after the join equal the serial ones bit for bit. *)
+let planarize_flat ?pool ~visible points tris =
+  let m = Array.length tris in
+  if m = 0 then []
+  else begin
+    let tv = Array.make (3 * m) 0 in
+    let tor = Array.make m Pred.Collinear in
+    let xmin = Array.make m 0. and xmax = Array.make m 0. in
+    let ymin = Array.make m 0. and ymax = Array.make m 0. in
+    let extent = ref 0. in
+    Array.iteri
+      (fun i (a, b, c) ->
+        tv.(3 * i) <- a;
+        tv.((3 * i) + 1) <- b;
+        tv.((3 * i) + 2) <- c;
+        tor.(i) <- orientation points a b c;
+        let pa = points.(a) and pb = points.(b) and pc = points.(c) in
+        xmin.(i) <- Float.min (Float.min pa.P.x pb.P.x) pc.P.x;
+        xmax.(i) <- Float.max (Float.max pa.P.x pb.P.x) pc.P.x;
+        ymin.(i) <- Float.min (Float.min pa.P.y pb.P.y) pc.P.y;
+        ymax.(i) <- Float.max (Float.max pa.P.y pb.P.y) pc.P.y;
+        extent :=
+          Float.max !extent
+            (Float.max (xmax.(i) -. xmin.(i)) (ymax.(i) -. ymin.(i))))
+      tris;
+    let corners = Array.init m (fun i -> P.make xmin.(i) ymin.(i)) in
+    let grid =
+      Geometry.Cellgrid.create
+        ~cell_size:(Geometry.Cellgrid.covering_side ~extent:!extent corners)
+        corners
+    in
+    let removed = Array.make m false in
+    let process i =
+      let a1 = tv.(3 * i) and b1 = tv.((3 * i) + 1) and c1 = tv.((3 * i) + 2) in
+      Geometry.Cellgrid.iter_near grid i (fun j ->
+          if
+            j > i
+            && xmin.(i) <= xmax.(j)
+            && xmin.(j) <= xmax.(i)
+            && ymin.(i) <= ymax.(j)
+            && ymin.(j) <= ymax.(i)
+          then begin
+            let a2 = tv.(3 * j) and b2 = tv.((3 * j) + 1) in
+            let c2 = tv.((3 * j) + 2) in
+            if
+              mutually_visible visible a1 b1 c1 a2 b2 c2
+              && intersect points tor.(i) a1 b1 c1 tor.(j) a2 b2 c2
+            then begin
+              if circ_holds_corner points a1 b1 c1 a2 b2 c2 then
+                removed.(i) <- true;
+              if circ_holds_corner points a2 b2 c2 a1 b1 c1 then
+                removed.(j) <- true
+            end
+          end)
+    in
+    (match pool with
+    | Some p -> Netgraph.Pool.parallel_for p ~n:m (fun () -> process)
+    | None ->
+      for i = 0 to m - 1 do
+        process i
+      done);
+    let kept = ref [] in
+    for i = m - 1 downto 0 do
+      if not removed.(i) then kept := tris.(i) :: !kept
+    done;
+    !kept
+  end
 
 let planarize g points triangles =
-  let tris = Array.of_list triangles in
-  let m = Array.length tris in
-  let removed = Array.make m false in
-  let boxes =
-    Array.map
-      (fun (a, b, c) ->
-        Geometry.Bbox.of_points [ points.(a); points.(b); points.(c) ])
-      tris
-  in
-  let boxes_overlap (b1 : Geometry.Bbox.t) (b2 : Geometry.Bbox.t) =
-    b1.xmin <= b2.xmax && b2.xmin <= b1.xmax && b1.ymin <= b2.ymax
-    && b2.ymin <= b1.ymax
-  in
-  for i = 0 to m - 1 do
-    for j = i + 1 to m - 1 do
-      if
-        boxes_overlap boxes.(i) boxes.(j)
-        && mutually_visible g tris.(i) tris.(j)
-        && triangles_intersect points tris.(i) tris.(j)
-      then begin
-        let a2, b2, c2 = tris.(j) in
-        if List.exists (circumcircle_contains points tris.(i)) [ a2; b2; c2 ]
-        then removed.(i) <- true;
-        let a1, b1, c1 = tris.(i) in
-        if List.exists (circumcircle_contains points tris.(j)) [ a1; b1; c1 ]
-        then removed.(j) <- true
-      end
-    done
-  done;
-  let kept = ref [] in
-  for i = m - 1 downto 0 do
-    if not removed.(i) then kept := tris.(i) :: !kept
-  done;
-  !kept
+  planarize_flat ~visible:(G.has_edge g) points (Array.of_list triangles)
 
 let graph_of n gabriel triangles =
   G.of_edges n
@@ -214,129 +311,24 @@ let of_parts n { p_gabriel; p_triangles; p_kept } =
     kept_triangles = p_kept;
   }
 
-(* Algorithm 3 driven by a bucket grid instead of the O(T^2) pair
-   scan.  Every accepted triangle has all links within [radius], so
-   its bbox is at most [radius] wide and tall; two overlapping bboxes
-   therefore have min-corners within [radius] of each other, i.e. in
-   the same or an adjacent grid cell of side [radius] — scanning the
-   3x3 block around each triangle's min-corner cell visits every
-   overlapping pair.  Pair decisions are pure predicates of the
-   snapshot (they never read the removal flags), so processing pair
-   (i, j) from i's worker and letting [removed] writes race on the
-   identical value [true] loses nothing: the flags after the join
-   equal the serial ones bit for bit. *)
-let planarize_csr ?pool csr points ~radius tris_list =
-  let module C = Netgraph.Csr in
-  let tris = Array.of_list tris_list in
-  let m = Array.length tris in
-  if m = 0 then []
-  else begin
-    let boxes =
-      Array.map
-        (fun (a, b, c) ->
-          Geometry.Bbox.of_points [ points.(a); points.(b); points.(c) ])
-        tris
-    in
-    let boxes_overlap (b1 : Geometry.Bbox.t) (b2 : Geometry.Bbox.t) =
-      b1.xmin <= b2.xmax && b2.xmin <= b1.xmax && b1.ymin <= b2.ymax
-      && b2.ymin <= b1.ymax
-    in
-    let mutually_visible_csr (a1, b1, c1) (a2, b2, c2) =
-      List.exists
-        (fun x ->
-          List.exists (fun y -> x = y || C.mem_edge csr x y) [ a2; b2; c2 ])
-        [ a1; b1; c1 ]
-    in
-    (* bucket triangle indices by the grid cell of their bbox
-       min-corner (side = radius, origin = least min-corner) *)
-    let bx0 = ref infinity and by0 = ref infinity in
-    let bx1 = ref neg_infinity and by1 = ref neg_infinity in
-    Array.iter
-      (fun (b : Geometry.Bbox.t) ->
-        if b.xmin < !bx0 then bx0 := b.xmin;
-        if b.xmin > !bx1 then bx1 := b.xmin;
-        if b.ymin < !by0 then by0 := b.ymin;
-        if b.ymin > !by1 then by1 := b.ymin)
-      boxes;
-    let nx = 1 + int_of_float ((!bx1 -. !bx0) /. radius) in
-    let ny = 1 + int_of_float ((!by1 -. !by0) /. radius) in
-    let cell_of (b : Geometry.Bbox.t) =
-      let cx = int_of_float ((b.xmin -. !bx0) /. radius) in
-      let cy = int_of_float ((b.ymin -. !by0) /. radius) in
-      (cy * nx) + cx
-    in
-    let tcell = Array.map cell_of boxes in
-    let start = Array.make ((nx * ny) + 1) 0 in
-    Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) tcell;
-    for k = 0 to (nx * ny) - 1 do
-      start.(k + 1) <- start.(k) + start.(k + 1)
-    done;
-    let order = Array.make m 0 in
-    let cursor = Array.copy start in
-    for i = 0 to m - 1 do
-      let k = tcell.(i) in
-      order.(cursor.(k)) <- i;
-      cursor.(k) <- cursor.(k) + 1
-    done;
-    let removed = Array.make m false in
-    let process i =
-      let bi = boxes.(i) in
-      let k = tcell.(i) in
-      let cx = k mod nx and cy = k / nx in
-      for dy = -1 to 1 do
-        let y = cy + dy in
-        if y >= 0 && y < ny then
-          for dx = -1 to 1 do
-            let x = cx + dx in
-            if x >= 0 && x < nx then begin
-              let c = (y * nx) + x in
-              for idx = start.(c) to start.(c + 1) - 1 do
-                let j = order.(idx) in
-                if
-                  j > i
-                  && boxes_overlap bi boxes.(j)
-                  && mutually_visible_csr tris.(i) tris.(j)
-                  && triangles_intersect points tris.(i) tris.(j)
-                then begin
-                  let a2, b2, c2 = tris.(j) in
-                  if
-                    List.exists
-                      (circumcircle_contains points tris.(i))
-                      [ a2; b2; c2 ]
-                  then removed.(i) <- true;
-                  let a1, b1, c1 = tris.(i) in
-                  if
-                    List.exists
-                      (circumcircle_contains points tris.(j))
-                      [ a1; b1; c1 ]
-                  then removed.(j) <- true
-                end
-              done
-            end
-          done
-      done
-    in
-    (match pool with
-    | Some p -> Netgraph.Pool.parallel_for p ~n:m (fun () -> process)
-    | None ->
-      for i = 0 to m - 1 do
-        process i
-      done);
-    let kept = ref [] in
-    for i = m - 1 downto 0 do
-      if not removed.(i) then kept := tris.(i) :: !kept
-    done;
-    !kept
-  end
+(* Lexicographic order of triple [k] of a flat triple array against
+   (a, b, c). *)
+let cmp_at arr k a b c =
+  let c0 = Int.compare arr.(3 * k) a in
+  if c0 <> 0 then c0
+  else
+    let c1 = Int.compare arr.((3 * k) + 1) b in
+    if c1 <> 0 then c1 else Int.compare arr.((3 * k) + 2) c
 
-(* Binary search in a sorted array of normalized triples. *)
-let mem_tri (arr : (int * int * int) array) t =
-  let lo = ref 0 and hi = ref (Array.length arr) in
+(* Binary search in a flat array of normalized triples, three ids
+   each, sorted by [cmp_tri]. *)
+let mem_tri arr a b c =
+  let lo = ref 0 and hi = ref (Array.length arr / 3) in
   while !hi - !lo > 0 do
     let mid = (!lo + !hi) / 2 in
-    if compare arr.(mid) t < 0 then lo := mid + 1 else hi := mid
+    if cmp_at arr mid a b c < 0 then lo := mid + 1 else hi := mid
   done;
-  !lo < Array.length arr && arr.(!lo) = t
+  !lo < Array.length arr / 3 && cmp_at arr !lo a b c = 0
 
 (* [build] on a CSR snapshot, without the Hashtbl graph.  Stage L1
    computes every node's local Delaunay triangles (neighbor lists fed
@@ -368,17 +360,29 @@ let build_csr ?pool ?owners csr points ~radius =
       done
   in
   Obs.quiesced (fun () ->
-      (* L1: per-node local triangles, sorted for binary search *)
+      (* L1: per-node local triangles, sorted for binary search, as
+         flat arrays of three ids each *)
       let locals = Array.make n [||] in
       let l1 u =
-        let nbrs =
-          List.rev
-            (C.fold_neighbors csr u (fun acc v -> (v, points.(v)) :: acc) [])
-        in
-        locals.(u) <-
-          Array.of_list
-            (List.sort_uniq compare
-               (local_triangles_of_neighborhood ~me:u ~me_pos:points.(u) ~nbrs))
+        let k = 1 + C.degree csr u in
+        let ids = Array.make k u and pos = Array.make k points.(u) in
+        let i = ref 1 in
+        C.iter_neighbors csr u (fun v ->
+            ids.(!i) <- v;
+            pos.(!i) <- points.(v);
+            incr i);
+        (* distinct ids (CSR rows are duplicate-free), so the triples
+           are distinct and sorting needs no dedup *)
+        let tris = Array.of_list (local_triangles ids pos) in
+        Array.sort cmp_tri tris;
+        let flat = Array.make (3 * Array.length tris) 0 in
+        Array.iteri
+          (fun k (a, b, c) ->
+            flat.(3 * k) <- a;
+            flat.((3 * k) + 1) <- b;
+            flat.((3 * k) + 2) <- c)
+          tris;
+        locals.(u) <- flat
       in
       (match pool with
       | Some p -> Netgraph.Pool.parallel_for p ~n (fun () -> l1)
@@ -404,15 +408,17 @@ let build_csr ?pool ?owners csr points ~radius =
                     then blocked := true);
                 if not !blocked then gab := (u, v) :: !gab
               end);
-          Array.iter
-            (fun ((a, b, c) as t) ->
-              if
-                a = u
-                && triangle_fits points ~radius t
-                && mem_tri locals.(b) t
-                && mem_tri locals.(c) t
-              then acc := t :: !acc)
-            locals.(u)
+          let mine = locals.(u) in
+          for k = 0 to (Array.length mine / 3) - 1 do
+            let a = mine.(3 * k) and b = mine.((3 * k) + 1) in
+            let c = mine.((3 * k) + 2) in
+            if
+              a = u
+              && fits points ~radius a b c
+              && mem_tri locals.(b) a b c
+              && mem_tri locals.(c) a b c
+            then acc := (a, b, c) :: !acc
+          done
         in
         fun t ->
           gab := [];
@@ -423,9 +429,12 @@ let build_csr ?pool ?owners csr points ~radius =
       in
       for_tiles mk_body;
       let concat_of by_tile = List.concat (Array.to_list by_tile) in
-      let p_gabriel = List.sort compare (concat_of gab_by_tile) in
-      let p_triangles = List.sort compare (concat_of acc_by_tile) in
-      let p_kept = planarize_csr ?pool csr points ~radius p_triangles in
+      let p_gabriel = List.sort cmp_pair (concat_of gab_by_tile) in
+      let p_triangles = List.sort cmp_tri (concat_of acc_by_tile) in
+      let p_kept =
+        planarize_flat ?pool ~visible:(C.mem_edge csr) points
+          (Array.of_list p_triangles)
+      in
       { p_gabriel; p_triangles; p_kept })
 
 let build_k g points ~radius ~k =

@@ -48,13 +48,12 @@ type csr_parts = {
 (** [build_csr csr points ~radius] computes the same lists as {!build}
     directly on a CSR snapshot of the (unit disk or induced backbone)
     graph: per-node local Delaunay triangles, min-corner-owned
-    acceptance, owner-side Gabriel filtering, and a bucket-grid
-    rendition of Algorithm 3 that only examines triangle pairs whose
-    bounding boxes can overlap.  With [owners] (tile partition of the
-    node ids) and [pool] all four stages fan out across the pool's
-    domains; per-tile results merge by deterministic sorts, so the
-    output is bit-identical to {!build}'s lists for any tiling and
-    any job count. *)
+    acceptance, owner-side Gabriel filtering, and the flat, bucketed
+    Algorithm 3 of {!planarize} with CSR adjacency as visibility.
+    With [owners] (tile partition of the node ids) and [pool] all four
+    stages fan out across the pool's domains; per-tile results merge
+    by deterministic sorts, so the output is bit-identical to
+    {!build}'s lists for any tiling and any job count. *)
 val build_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->
@@ -111,7 +110,29 @@ val triangle_fits :
 (** [planarize g points tris] is Algorithm 3: for every pair of
     intersecting triangles whose corners can hear of each other in
     [g] (1-hop gathering), remove any whose circumcircle contains a
-    corner of the other; returns the survivors. *)
+    corner of the other; returns the survivors in input order.
+
+    {b Flat kernel.}  The triangles are copied once into a flat
+    [int array] (three corner ids each), an orientation per triangle
+    and four [float array]s of bounding boxes; each pair is then
+    decided by loops that call [Predicates.orient2d] and
+    [Predicates.incircle] on corner ids, so no list, segment or
+    closure is built per pair.  An edge pair that shares an endpoint
+    id is rejected before any predicate: orient2d with a repeated
+    point is exactly [Collinear] (both products of the determinant
+    are exact zeros), so such a pair can never properly intersect —
+    the decision is the one {!triangles_intersect} makes, without the
+    exact-arithmetic fallback those degenerate calls used to take.
+
+    {b Candidates.}  Triangles are bucketed by bbox min-corner in a
+    [Geometry.Cellgrid] whose side covers the longest bbox side L
+    (padded as [Cellgrid.covering_side] describes).  Two overlapping
+    bboxes have min-corners within L in x and in y, so each triangle
+    is tested only against the later triangles of its 3x3 cell block,
+    and pairs are still filtered by exact bbox overlap: the kept list
+    equals the all-pairs scan's.  O(T + c) time for T triangles and c
+    candidate pairs; c is O(T) on the triangles built here, whose
+    sides are at most one radius. *)
 val planarize :
   Netgraph.Graph.t ->
   Geometry.Point.t array ->
@@ -123,7 +144,9 @@ val gabriel_edges_of :
   Netgraph.Graph.t -> Geometry.Point.t array -> (int * int) list
 
 (** [circumcircle_contains points t v] holds when node [v] (not a
-    corner) lies strictly inside [t]'s circumcircle. *)
+    corner) lies strictly inside [t]'s circumcircle.  This and
+    {!triangles_intersect} are tuple wrappers over {!planarize}'s
+    kernel predicates. *)
 val circumcircle_contains :
   Geometry.Point.t array -> int * int * int -> int -> bool
 

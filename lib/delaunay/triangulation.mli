@@ -12,7 +12,21 @@
     Degenerate inputs are handled: fewer than three points or an
     entirely collinear set produce no triangles, and {!edges} falls
     back to the Delaunay graph of such inputs (the path along the
-    line, or the single edge). *)
+    line, or the single edge).
+
+    {b Representation.}  The mesh is a flat triangle store: a growable
+    [int array] with three corner ids per slot (counterclockwise,
+    rotated so the smallest id comes first; a ghost triangle keeps the
+    ghost last) and an alive flag per slot.  Inserting point [p]
+    scans the alive slots for the cavity (every triangle whose
+    circumdisk strictly contains [p]), takes as its boundary every
+    distinct directed cavity edge whose reverse is not also in the
+    cavity, and writes one triangle per boundary edge, reusing the
+    cavity's slots before appending.  These are set rules, so the
+    triangle set after each insertion does not depend on slot order,
+    and an insertion allocates nothing beyond growing the store and
+    one scratch buffer per triangulation.  The query functions below
+    read the alive slots and sort what they return. *)
 
 type t
 

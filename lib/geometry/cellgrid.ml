@@ -79,6 +79,36 @@ let create ~cell_size points =
   done;
   t
 
+(* Relative padding of [covering_side].  Float rounding in the extents,
+   the keys and the cell-index arithmetic is a few ulps of the extent
+   and of the coordinates' magnitude; padding by 1e-9 of both keeps
+   the computed cell indices of a true pair at most one apart. *)
+let margin = 1e-9
+
+(* The lower bound [span / (1 + sqrt m)] only ever enlarges the cells
+   (which cannot lose a pair); it caps the grid at O(m) cells when
+   every extent is short compared with the spread of the keys. *)
+let covering_side ~extent keys =
+  let x0 = ref infinity and x1 = ref neg_infinity in
+  let y0 = ref infinity and y1 = ref neg_infinity in
+  let scale = ref 0. in
+  Array.iter
+    (fun (p : P.t) ->
+      x0 := Float.min !x0 p.x;
+      x1 := Float.max !x1 p.x;
+      y0 := Float.min !y0 p.y;
+      y1 := Float.max !y1 p.y;
+      scale := Float.max !scale (Float.max (Float.abs p.x) (Float.abs p.y)))
+    keys;
+  let m = Array.length keys in
+  let span = Float.max (!x1 -. !x0) (!y1 -. !y0) in
+  let lossless = (extent *. (1. +. margin)) +. (margin *. !scale) in
+  let capped =
+    span /. float_of_int (1 + int_of_float (sqrt (float_of_int m)))
+  in
+  let side = Float.max lossless capped in
+  if side > 0. then side else 1.
+
 let cells t = t.nx * t.ny
 let cols t = t.nx
 let rows t = t.ny

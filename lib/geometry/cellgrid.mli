@@ -11,9 +11,10 @@
     With [cell_size] = the transmission radius this drives CSR-native
     UDG construction ([Wireless.Udg.build_csr]); with [cell_size] = the
     tile side its buckets are exactly the tile ownership sets of
-    [Core.Shard]; with [cell_size] >= the longest edge, over the edge
-    midpoints, it yields the crossing candidates of
-    [Netgraph.Planarity]. *)
+    [Core.Shard]; with {!covering_side} over the edge midpoints it
+    yields the crossing candidates of [Netgraph.Planarity], and over
+    triangle bounding-box min-corners the overlapping triangle pairs
+    of [Core.Ldel]'s Algorithm 3. *)
 
 type t
 
@@ -21,6 +22,17 @@ type t
     square cells covering their bounding box.
     @raise Invalid_argument when [cell_size <= 0]. *)
 val create : cell_size:float -> Point.t array -> t
+
+(** [covering_side ~extent keys] is a cell side for {!create} over
+    [keys] such that two keys whose coordinates differ by at most
+    [extent] in x and in y always land in the same or adjacent cells,
+    so {!iter_near} visits every such pair.  It is [extent] padded by
+    1e-9 of itself and 1e-9 of the largest key coordinate (far above
+    the few ulps rounding can shift a cell index), raised to
+    [span / (1 + sqrt m)] for [m] keys spread over [span] so the grid
+    never exceeds O(m) cells; larger cells only add candidates.
+    Positive even when every key coincides. *)
+val covering_side : extent:float -> Point.t array -> float
 
 (** Total number of cells ([cols * rows], at least 1). *)
 val cells : t -> int

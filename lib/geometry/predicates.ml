@@ -120,7 +120,7 @@ let orient2d (a : Point.t) (b : Point.t) (c : Point.t) =
   in
   if s > 0 then Ccw else if s < 0 then Cw else Collinear
 
-let incircle_det (a : Point.t) (b : Point.t) (c : Point.t) (d : Point.t) =
+let[@inline] incircle_det (a : Point.t) (b : Point.t) (c : Point.t) (d : Point.t) =
   let adx = a.x -. d.x and ady = a.y -. d.y in
   let bdx = b.x -. d.x and bdy = b.y -. d.y in
   let cdx = c.x -. d.x and cdy = c.y -. d.y in

@@ -6,38 +6,7 @@ module S = Geometry.Segment
 
 let c_candidates = Obs.counter "planarity.candidates"
 
-(* Relative padding of the cell side.  Float rounding in the lengths,
-   the midpoints and the cell-index arithmetic is a few ulps of L and
-   of the coordinates' magnitude; padding by 1e-9 of both keeps the
-   computed cell indices of a true pair at most one apart. *)
-let margin = 1e-9
-
 let share_endpoint u1 v1 u2 v2 = u1 = u2 || u1 = v2 || v1 = u2 || v1 = v2
-
-(* Cell side for [m] segments with midpoints [mids] and longest length
-   [longest].  The lower bound [span / (1 + sqrt m)] only ever enlarges
-   the cells (which cannot lose a pair); it caps the grid at O(m)
-   cells when every edge is short compared with the spread of the
-   graph. *)
-let cell_side m mids longest =
-  let x0 = ref infinity and x1 = ref neg_infinity in
-  let y0 = ref infinity and y1 = ref neg_infinity in
-  let scale = ref 0. in
-  Array.iter
-    (fun (p : Geometry.Point.t) ->
-      x0 := Float.min !x0 p.x;
-      x1 := Float.max !x1 p.x;
-      y0 := Float.min !y0 p.y;
-      y1 := Float.max !y1 p.y;
-      scale := Float.max !scale (Float.max (Float.abs p.x) (Float.abs p.y)))
-    mids;
-  let span = Float.max (!x1 -. !x0) (!y1 -. !y0) in
-  let lossless = (longest *. (1. +. margin)) +. (margin *. !scale) in
-  let capped =
-    span /. float_of_int (1 + int_of_float (sqrt (float_of_int m)))
-  in
-  let side = Float.max lossless capped in
-  if side > 0. then side else 1.
 
 (* [iter_crossings g points f] calls [f u1 v1 u2 v2] for every pair of
    properly crossing edges, in all-pairs scan order: (u1, v1) before
@@ -61,7 +30,9 @@ let iter_crossings g points f =
       in
       let mids = Array.map S.midpoint seg in
       let grid =
-        Geometry.Cellgrid.create ~cell_size:(cell_side m mids longest) mids
+        Geometry.Cellgrid.create
+          ~cell_size:(Geometry.Cellgrid.covering_side ~extent:longest mids)
+          mids
       in
       (* edge [i]'s hits, sorted before they are reported *)
       let hits = Array.make m 0 in

@@ -47,11 +47,15 @@ let test_two_points () =
   Alcotest.(check (list (pair int int))) "single edge" [ (0, 1) ] (DT.edges t)
 
 let test_duplicate_rejected () =
-  check "duplicate raises" true
-    (try
-       ignore (DT.triangulate [| p 0. 0.; p 1. 1.; p 0. 0. |]);
-       false
-     with Invalid_argument _ -> true)
+  let raises pts =
+    try
+      ignore (DT.triangulate pts);
+      false
+    with Invalid_argument _ -> true
+  in
+  check "duplicate raises" true (raises [| p 0. 0.; p 1. 1.; p 0. 0. |]);
+  (* -0. and 0. are the same coordinate *)
+  check "signed zero raises" true (raises [| p 0. 0.; p 1. 1.; p (-0.) 0. |])
 
 let test_point_on_hull_edge () =
   (* inserting a point exactly on an existing hull edge *)
@@ -168,6 +172,233 @@ let test_gabriel_subset_of_delaunay () =
     done
   done
 
+(* ---------------- differential oracle ---------------- *)
+
+(* The persistent-set Bowyer–Watson the flat triangle store replaced:
+   the same ghost triangles, cavity rule (every triangle whose
+   circumdisk strictly contains p) and boundary rule (a cavity edge
+   whose reverse is not in the cavity), but the mesh is a [Set]
+   rebuilt by [filter]/[diff]/[add] around a Hashtbl of cavity edges
+   on every insertion.  Its triangles, edges and hull must equal the
+   flat store's on every input, degenerate ones included. *)
+module Oracle = struct
+  module Pred = Geometry.Predicates
+
+  let ghost = -1
+
+  module TriSet = Set.Make (struct
+    type t = int * int * int
+
+    let compare = compare
+  end)
+
+  type t = { pts : P.t array; mutable alive : TriSet.t; path : (int * int) list option }
+
+  let normalize (a, b, c) =
+    if c = ghost then (a, b, c)
+    else if a = ghost then (b, c, a)
+    else if b = ghost then (c, a, b)
+    else if a <= b && a <= c then (a, b, c)
+    else if b <= a && b <= c then (b, c, a)
+    else (c, a, b)
+
+  let in_circumdisk pts (a, b, c) p =
+    if c = ghost then
+      match Pred.orient2d pts.(a) pts.(b) p with
+      | Pred.Ccw -> true
+      | Pred.Cw -> false
+      | Pred.Collinear -> P.dot (P.sub pts.(a) p) (P.sub pts.(b) p) < 0.
+    else Pred.incircle pts.(a) pts.(b) pts.(c) p
+
+  let directed_edges (a, b, c) = [ (a, b); (b, c); (c, a) ]
+
+  let insert t pi =
+    let p = t.pts.(pi) in
+    let bad = TriSet.filter (fun tri -> in_circumdisk t.pts tri p) t.alive in
+    if TriSet.is_empty bad then invalid_arg "Triangulation: duplicate point";
+    let edge_set = Hashtbl.create 32 in
+    TriSet.iter
+      (fun tri ->
+        List.iter (fun e -> Hashtbl.replace edge_set e ()) (directed_edges tri))
+      bad;
+    let boundary =
+      Hashtbl.fold
+        (fun (u, v) () acc ->
+          if Hashtbl.mem edge_set (v, u) then acc else (u, v) :: acc)
+        edge_set []
+    in
+    t.alive <- TriSet.diff t.alive bad;
+    List.iter
+      (fun (u, v) -> t.alive <- TriSet.add (normalize (u, v, pi)) t.alive)
+      boundary
+
+  let triangulate pts =
+    let n = Array.length pts in
+    let seen = Hashtbl.create n in
+    Array.iter
+      (fun (p : P.t) ->
+        if Hashtbl.mem seen (p.x, p.y) then
+          invalid_arg "Triangulation: duplicate point";
+        Hashtbl.add seen (p.x, p.y) ())
+      pts;
+    let rec third k =
+      if k >= n then None
+      else if
+        k <> 0 && k <> 1
+        && Pred.orient2d pts.(0) pts.(1) pts.(k) <> Pred.Collinear
+      then Some k
+      else third (k + 1)
+    in
+    match if n < 2 then None else third 0 with
+    | None ->
+      let order = Array.init n (fun i -> i) in
+      Array.sort (fun i j -> P.compare pts.(i) pts.(j)) order;
+      let path =
+        List.init (max 0 (n - 1)) (fun i ->
+            let u = order.(i) and v = order.(i + 1) in
+            (min u v, max u v))
+      in
+      { pts; alive = TriSet.empty; path = Some path }
+    | Some k ->
+      let i, j, k =
+        if Pred.orient2d pts.(0) pts.(1) pts.(k) = Pred.Ccw then (0, 1, k)
+        else (0, k, 1)
+      in
+      let t = { pts; alive = TriSet.singleton (normalize (i, j, k)); path = None } in
+      List.iter
+        (fun (u, v) -> t.alive <- TriSet.add (v, u, ghost) t.alive)
+        (directed_edges (i, j, k));
+      for p = 0 to n - 1 do
+        if p <> i && p <> j && p <> k then insert t p
+      done;
+      t
+
+  let real t =
+    List.filter (fun (_, _, c) -> c <> ghost) (TriSet.elements t.alive)
+
+  let triangles t = real t
+
+  let edges t =
+    match t.path with
+    | Some path -> path
+    | None ->
+      List.sort_uniq compare
+        (List.concat_map
+           (fun (a, b, c) ->
+             List.map (fun (u, v) -> (min u v, max u v)) [ (a, b); (b, c); (c, a) ])
+           (real t))
+
+  let hull t =
+    match t.path with
+    | Some [] -> if Array.length t.pts = 1 then [ 0 ] else []
+    | Some ((u, _) :: _ as path) -> u :: List.map snd path
+    | None ->
+      let next = Hashtbl.create 16 in
+      TriSet.iter
+        (fun (a, b, c) -> if c = ghost then Hashtbl.replace next a b)
+        t.alive;
+      let start = Hashtbl.fold (fun a _ acc -> min a acc) next max_int in
+      if start = max_int then []
+      else
+        let rec chain v acc =
+          let w = Hashtbl.find next v in
+          if w = start then List.rev (v :: acc) else chain w (v :: acc)
+        in
+        List.rev (chain start [])
+
+  let has_triangle t i j k =
+    List.exists
+      (fun tri -> TriSet.mem (normalize tri) t.alive)
+      [ (i, j, k); (j, k, i); (k, i, j); (i, k, j); (k, j, i); (j, i, k) ]
+end
+
+let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+(* triangles, edges, hull and (on small inputs) every has_triangle
+   query agree with the oracle, or both raise the same exception *)
+let agrees pts =
+  match (outcome (fun () -> DT.triangulate pts), outcome (fun () -> Oracle.triangulate pts)) with
+  | Error a, Error b -> a = b
+  | Ok t, Ok o ->
+    let n = Array.length pts in
+    let triples =
+      if n > 9 then []
+      else
+        List.concat_map
+          (fun i ->
+            List.concat_map
+              (fun j -> List.init n (fun k -> (i, j, k)))
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+    in
+    DT.triangles t = Oracle.triangles o
+    && DT.edges t = Oracle.edges o
+    && outcome (fun () -> DT.hull t) = outcome (fun () -> Oracle.hull o)
+    && List.for_all
+         (fun (i, j, k) -> DT.has_triangle t i j k = Oracle.has_triangle o i j k)
+         triples
+  | _ -> false
+
+let print_points pts =
+  String.concat "; "
+    (Array.to_list (Array.map (fun (q : P.t) -> Printf.sprintf "(%h, %h)" q.x q.y) pts))
+
+let arb_random =
+  QCheck.make ~print:print_points
+    QCheck.Gen.(
+      map Array.of_list
+        (list_size (0 -- 60)
+           (map2 p (float_range 0. 100.) (float_range 0. 100.))))
+
+let prop_random =
+  QCheck.Test.make ~name:"flat store = set oracle on random points" ~count:300
+    arb_random agrees
+
+(* Integer lattices in four coordinate frames: co-circular quads,
+   collinear runs, points on hull edges, mm-scale spacing far from
+   the origin.  [dups] keeps repeated lattice points, so the
+   duplicate rejection is compared too. *)
+let frame kind a =
+  let a = float_of_int a in
+  match kind with
+  | 0 -> a
+  | 1 -> 1e6 +. (a *. 1e-3)
+  | 2 -> a *. a *. a
+  | _ -> 0.1 +. (a *. 0.1)
+
+let lattice_points (kind, dups, coords) =
+  let coords = if dups then coords else List.sort_uniq compare coords in
+  Array.of_list
+    (List.map (fun (a, b) -> p (frame kind a) (frame kind b)) coords)
+
+let prop_lattice =
+  QCheck.Test.make ~name:"flat store = set oracle on lattices" ~count:600
+    (QCheck.triple (QCheck.int_bound 3)
+       (QCheck.frequency [ (9, QCheck.always false); (1, QCheck.always true) ])
+       (QCheck.list_of_size QCheck.Gen.(0 -- 40)
+          (QCheck.pair (QCheck.int_bound 6) (QCheck.int_bound 6))))
+    (fun input -> agrees (lattice_points input))
+
+(* collinear runs: points on one line, plus a few off it *)
+let prop_collinear =
+  QCheck.Test.make ~name:"flat store = set oracle on collinear runs" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 20) (int_bound 30))
+        (list_of_size Gen.(0 -- 3) (pair (int_bound 30) (int_bound 30))))
+    (fun (on_line, off) ->
+      let on_line = List.sort_uniq compare on_line in
+      let off = List.sort_uniq compare off in
+      let pts =
+        List.map (fun x -> p (float_of_int x) (float_of_int ((2 * x) + 1))) on_line
+        @ List.filter_map
+            (fun (x, y) ->
+              if y = (2 * x) + 1 || List.mem x on_line then None
+              else Some (p (float_of_int x) (float_of_int y)))
+            off
+      in
+      agrees (Array.of_list pts))
+
 let suites =
   [
     ( "delaunay",
@@ -192,4 +423,8 @@ let suites =
         Alcotest.test_case "gabriel ⊆ delaunay" `Quick
           test_gabriel_subset_of_delaunay;
       ] );
+    ( "delaunay.oracle",
+      List.map
+        (fun t -> QCheck_alcotest.to_alcotest t)
+        [ prop_random; prop_lattice; prop_collinear ] );
   ]

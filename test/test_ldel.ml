@@ -174,6 +174,265 @@ let test_dense_equals_udel_plus () =
     (List.length l.Core.Ldel.kept_triangles
     = List.length l.Core.Ldel.triangles)
 
+(* ---------------- differential oracle ---------------- *)
+
+(* Algorithm 3 as it was before the flat kernel: corner lists,
+   [Segment.t] records and closures per pair, over all O(T^2) pairs
+   of triangles.  [Ldel.planarize], [Ldel.build_csr] and the tuple
+   wrappers must agree with it exactly. *)
+module Oracle = struct
+  module Pred = Geometry.Predicates
+
+  let triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
+    let t1 = [ a1; b1; c1 ] and t2 = [ a2; b2; c2 ] in
+    let edge_of = function
+      | [ x; y; z ] -> [ (x, y); (y, z); (z, x) ]
+      | _ -> assert false
+    in
+    let seg (u, v) = Geometry.Segment.make points.(u) points.(v) in
+    List.exists
+      (fun e1 ->
+        List.exists
+          (fun e2 -> Geometry.Segment.properly_intersect (seg e1) (seg e2))
+          (edge_of t2))
+      (edge_of t1)
+    ||
+    let strictly_inside (x, y, z) v =
+      let inside_ccw a b c p =
+        Pred.orient2d points.(a) points.(b) p = Pred.Ccw
+        && Pred.orient2d points.(b) points.(c) p = Pred.Ccw
+        && Pred.orient2d points.(c) points.(a) p = Pred.Ccw
+      in
+      match Pred.orient2d points.(x) points.(y) points.(z) with
+      | Pred.Ccw -> inside_ccw x y z points.(v)
+      | Pred.Cw -> inside_ccw x z y points.(v)
+      | Pred.Collinear -> false
+    in
+    List.exists
+      (fun v -> (not (List.mem v t1)) && strictly_inside (a1, b1, c1) v)
+      t2
+    || List.exists
+         (fun v -> (not (List.mem v t2)) && strictly_inside (a2, b2, c2) v)
+         t1
+
+  let circumcircle_contains points (a, b, c) v =
+    v <> a && v <> b && v <> c
+    && Pred.incircle points.(a) points.(b) points.(c) points.(v)
+
+  let mutually_visible g (a1, b1, c1) (a2, b2, c2) =
+    List.exists
+      (fun x -> List.exists (fun y -> x = y || G.has_edge g x y) [ a2; b2; c2 ])
+      [ a1; b1; c1 ]
+
+  let planarize g points triangles =
+    let tris = Array.of_list triangles in
+    let m = Array.length tris in
+    let removed = Array.make m false in
+    let box (a, b, c) = Geometry.Bbox.of_points [ points.(a); points.(b); points.(c) ] in
+    let overlap (b1 : Geometry.Bbox.t) (b2 : Geometry.Bbox.t) =
+      b1.xmin <= b2.xmax && b2.xmin <= b1.xmax && b1.ymin <= b2.ymax
+      && b2.ymin <= b1.ymax
+    in
+    for i = 0 to m - 1 do
+      for j = i + 1 to m - 1 do
+        if
+          overlap (box tris.(i)) (box tris.(j))
+          && mutually_visible g tris.(i) tris.(j)
+          && triangles_intersect points tris.(i) tris.(j)
+        then begin
+          let a2, b2, c2 = tris.(j) and a1, b1, c1 = tris.(i) in
+          if List.exists (circumcircle_contains points tris.(i)) [ a2; b2; c2 ]
+          then removed.(i) <- true;
+          if List.exists (circumcircle_contains points tris.(j)) [ a1; b1; c1 ]
+          then removed.(j) <- true
+        end
+      done
+    done;
+    List.filteri (fun i _ -> not removed.(i)) triangles
+end
+
+let tri_list = Alcotest.(check (list (triple int int int)))
+
+(* the kernel, the tuple wrappers and the serial planarize agree with
+   the oracle on [tris] under visibility graph [g] *)
+let agrees g points tris =
+  let wrappers_agree t1 t2 =
+    let a2, b2, c2 = t2 in
+    Core.Ldel.triangles_intersect points t1 t2
+    = Oracle.triangles_intersect points t1 t2
+    && List.for_all
+         (fun v ->
+           Core.Ldel.circumcircle_contains points t1 v
+           = Oracle.circumcircle_contains points t1 v)
+         [ a2; b2; c2 ]
+  in
+  List.for_all (fun t1 -> List.for_all (wrappers_agree t1) tris) tris
+  && Core.Ldel.planarize g points tris = Oracle.planarize g points tris
+
+let gen_deployment =
+  QCheck.Gen.(
+    map3
+      (fun seed n radius -> (seed, n, radius))
+      (int_bound 1_000_000) (int_range 10 90) (float_range 30. 70.))
+
+let print_deployment (seed, n, radius) =
+  Printf.sprintf "seed=%d n=%d radius=%g" seed n radius
+
+let deployment (seed, n, radius) =
+  let rng = Wireless.Rand.create (Int64.of_int (seed + 1)) in
+  let points = Wireless.Deploy.uniform rng ~n ~side:200. in
+  (points, Wireless.Udg.build points ~radius)
+
+(* LDel on the UDG and on the induced backbone: the accepted
+   triangles go through both Algorithm 3s *)
+let prop_deployments =
+  QCheck.Test.make ~name:"Algorithm 3 = oracle on deployments" ~count:60
+    (QCheck.make ~print:print_deployment gen_deployment)
+    (fun ((_, _, radius) as input) ->
+      let points, udg = deployment input in
+      let icds = (Core.Cds.of_udg udg).Core.Cds.icds in
+      List.for_all
+        (fun g ->
+          let l = Core.Ldel.build g points ~radius in
+          l.Core.Ldel.kept_triangles
+          = Oracle.planarize g points l.Core.Ldel.triangles
+          && agrees g points l.Core.Ldel.triangles)
+        [ udg; icds ])
+
+(* Small triangles on a lattice in four coordinate frames: pairs
+   sharing an edge or only a vertex, T-junctions (a corner on another
+   triangle's edge), collinear corners, co-circular quads and mm-scale
+   triangles 10^6 from the origin.  Each triangle is a base point and
+   two offsets of at most [reach] steps, and visibility joins every
+   pair of points within [reach] steps.  Up to 80 triangles spread
+   over a 25x25 lattice occupy many grid cells, so a grid that missed
+   an overlapping pair would show. *)
+let frame kind a =
+  let a = float_of_int a in
+  match kind with
+  | 0 -> a
+  | 1 -> 1e6 +. (a *. 1e-3)
+  | 2 -> a *. a *. a
+  | _ -> 0.1 +. (a *. 0.1)
+
+let arb_hostile =
+  QCheck.(
+    triple (int_bound 3) (int_range 1 4)
+      (list_of_size Gen.(1 -- 80)
+         (pair
+            (pair (int_bound 24) (int_bound 24))
+            (quad (int_range (-4) 4) (int_range (-4) 4) (int_range (-4) 4)
+               (int_range (-4) 4)))))
+
+let hostile_input (kind, reach, specs) =
+  let clamp d = max (-reach) (min reach d) in
+  let corners =
+    List.map
+      (fun ((x, y), (dx1, dy1, dx2, dy2)) ->
+        ((x, y), (x + clamp dx1, y + clamp dy1), (x + clamp dx2, y + clamp dy2)))
+      specs
+  in
+  let lattice =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.concat_map (fun (a, b, c) -> [ a; b; c ]) corners))
+  in
+  let id q =
+    let rec find i = if lattice.(i) = q then i else find (i + 1) in
+    find 0
+  in
+  let points =
+    Array.map (fun (a, b) -> P.make (frame kind a) (frame kind b)) lattice
+  in
+  let n = Array.length points in
+  let g = G.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let (ax, ay), (bx, by) = (lattice.(u), lattice.(v)) in
+      if max (abs (ax - bx)) (abs (ay - by)) <= reach then G.add_edge g u v
+    done
+  done;
+  let tris =
+    List.filter_map
+      (fun (a, b, c) ->
+        let a = id a and b = id b and c = id c in
+        if a <> b && b <> c && a <> c then Some (a, b, c) else None)
+      corners
+  in
+  (g, points, tris)
+
+let prop_hostile =
+  QCheck.Test.make ~name:"Algorithm 3 = oracle on lattices" ~count:250
+    arb_hostile (fun input ->
+      let g, points, tris = hostile_input input in
+      agrees g points tris)
+
+(* [build_csr] at jobs 1 and 2 and at several tilings reproduces the
+   serial build, whose kept list is the oracle's *)
+let prop_build_csr =
+  QCheck.Test.make ~name:"build_csr = build at any jobs and tiling" ~count:15
+    (QCheck.make ~print:print_deployment gen_deployment)
+    (fun ((_, _, radius) as input) ->
+      let points, udg = deployment input in
+      let want = Core.Ldel.build udg points ~radius in
+      let csr = Netgraph.Csr.of_graph udg in
+      let n = Array.length points in
+      let tilings =
+        None
+        :: List.map
+             (fun k ->
+               Some
+                 (Array.init k (fun t ->
+                      Array.of_list
+                        (List.filter (fun u -> u mod k = t) (List.init n Fun.id)))))
+             [ 1; 3; 7 ]
+      in
+      want.Core.Ldel.kept_triangles
+      = Oracle.planarize udg points want.Core.Ldel.triangles
+      && List.for_all
+           (fun jobs ->
+             let run pool =
+               List.for_all
+                 (fun owners ->
+                   Core.Ldel.build_csr ?pool ?owners csr points ~radius
+                   = {
+                       Core.Ldel.p_gabriel = want.Core.Ldel.gabriel_edges;
+                       p_triangles = want.Core.Ldel.triangles;
+                       p_kept = want.Core.Ldel.kept_triangles;
+                     })
+                 tilings
+             in
+             if jobs = 1 then run None
+             else Netgraph.Pool.with_pool ~jobs (fun p -> run (Some p)))
+           [ 1; 2 ])
+
+(* ---------------- allocation gate ---------------- *)
+
+(* Minor words [Ldel.build_csr] allocates per accepted triangle, on
+   the induced backbone of one fixed uniform 5,000-node deployment
+   (side 707, radius 20: the density of the benchmark's build).  The
+   flat kernels measure 785 words per triangle here (3,486
+   triangles), so the bound leaves 27% headroom; the tuple-list
+   Algorithm 3 over a persistent-set triangulation allocated about
+   12,850.  Most of what is left is each node's local triangle list
+   and the output lists. *)
+let max_words_per_triangle = 1000.
+
+let test_alloc_gate () =
+  let rng = Wireless.Rand.create 1L in
+  let points = Wireless.Deploy.uniform rng ~n:5_000 ~side:707. in
+  let snap = Core.Shard.pipeline points ~radius:20. in
+  let icds = snap.Core.Shard.icds and owners = snap.Core.Shard.owners in
+  let before = Gc.minor_words () in
+  let parts = Core.Ldel.build_csr ~owners icds points ~radius:20. in
+  let words = Gc.minor_words () -. before in
+  let tris = List.length parts.Core.Ldel.p_triangles in
+  checki "the fixed instance's triangles" tris (List.length snap.Core.Shard.ldel.Core.Ldel.p_triangles);
+  let per = words /. float_of_int tris in
+  if per > max_words_per_triangle then
+    Alcotest.failf "%.0f minor words per accepted triangle (%d triangles; bound %.0f)"
+      per tris max_words_per_triangle
+
 let suites =
   [
     ( "core.ldel",
@@ -198,5 +457,14 @@ let suites =
         Alcotest.test_case "degenerate inputs" `Quick test_degenerate_inputs;
         Alcotest.test_case "full visibility = Delaunay" `Quick
           test_dense_equals_udel_plus;
+      ] );
+    ( "core.ldel.oracle",
+      List.map
+        (fun t -> QCheck_alcotest.to_alcotest t)
+        [ prop_deployments; prop_hostile; prop_build_csr ] );
+    ( "core.ldel.alloc",
+      [
+        Alcotest.test_case "minor words per accepted triangle" `Quick
+          test_alloc_gate;
       ] );
   ]
