@@ -737,7 +737,11 @@ let bench_metrics ?check quick jobs =
           Wireless.Deploy.connected_uniform rng ~n ~side:200. ~radius
             ~max_attempts:5000
         in
-        let bb = Core.Backbone.build pts ~radius in
+        let bb =
+          Core.Backbone.run
+            { Core.Backbone.Config.default with Core.Backbone.Config.radius; jobs }
+            pts
+        in
         let base = bb.Core.Backbone.udg in
         let sub = bb.Core.Backbone.ldel_icds' in
         pf "n = %-5d R = %-4g (UDG %d edges, LDel(ICDS') %d edges)@." n radius
@@ -841,20 +845,14 @@ let bench_metrics ?check quick jobs =
 (* Construction pipeline benchmark                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Legacy Hashtbl-graph construction ([Backbone.run] with [Serial]
-   partition, the seed pipeline) against the sharded CSR-native
-   pipeline ([Backbone.snapshot]: tiles, Builder accumulation, sealed
-   snapshots, no mutable graph materialized).  Outputs are asserted
-   bit-identical before any timing is reported.  The headline on a
-   one-CPU box is the algorithmic speedup of the CSR pipeline at j = 1;
-   the jobs column is reported honestly and is NOT expected to beat it
-   without additional cores. *)
+(* The sharded CSR pipeline ([Backbone.snapshot]: tiles, Builder
+   accumulation, sealed snapshots, no mutable graph materialized) at
+   jobs = 1 and jobs = J, each with auto tiling.  Before any timing is
+   reported, both are checked bit-identical to a one-tile, one-job
+   [Shard.pipeline] run on all seven sealed structures. *)
 let bench_pipeline ?check quick jobs =
   header
-    (Printf.sprintf
-       "Construction pipeline: legacy Hashtbl graph vs sharded CSR (jobs = \
-        1 and %d)"
-       jobs);
+    (Printf.sprintf "Construction pipeline: sharded CSR (jobs = 1 and %d)" jobs);
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Obs.reset ();
@@ -866,13 +864,8 @@ let bench_pipeline ?check quick jobs =
     let rng = Wireless.Rand.create 4242L in
     Wireless.Deploy.uniform rng ~n ~side:(10. *. sqrt (float_of_int n))
   in
-  let cfg partition j =
-    {
-      Core.Backbone.Config.default with
-      Core.Backbone.Config.radius;
-      partition;
-      jobs = j;
-    }
+  let cfg j =
+    { Core.Backbone.Config.default with Core.Backbone.Config.radius; jobs = j }
   in
   let compare_cases = if quick then [ 2_000; 5_000 ] else [ 20_000; 50_000 ] in
   let n_big = if quick then 20_000 else 1_000_000 in
@@ -886,43 +879,42 @@ let bench_pipeline ?check quick jobs =
     count "pldel_edges" n (Netgraph.Csr.edge_count s.S.pldel);
     count "pldel'_edges" n (Netgraph.Csr.edge_count s.S.pldel')
   in
+  let csrs (s : S.snapshot) =
+    List.map Netgraph.Csr.edges
+      [ s.S.udg; s.S.cds; s.S.cds'; s.S.icds; s.S.icds'; s.S.pldel; s.S.pldel' ]
+  in
   let timed = ref [] in
   List.iter
     (fun n ->
       let pts = deploy n in
-      let legacy =
+      let one_tile =
         Obs.span
-          (Printf.sprintf "bench.pipeline.legacy.n%d" n)
-          (fun () -> Core.Backbone.run (cfg Core.Backbone.Config.Serial 1) pts)
+          (Printf.sprintf "bench.pipeline.one_tile.n%d" n)
+          (fun () -> S.pipeline ~tiles:1 pts ~radius)
       in
       let snap j =
         Obs.span
           (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" j n)
-          (fun () ->
-            Core.Backbone.snapshot (cfg Core.Backbone.Config.Auto j) pts)
+          (fun () -> Core.Backbone.snapshot (cfg j) pts)
       in
       let s1 = snap 1 in
       let sj = if jobs > 1 then snap jobs else s1 in
-      (* bit-identity gate: the speedup below is only meaningful if the
-         CSR pipeline rebuilt exactly the legacy structures *)
-      let same_csr c g = Netgraph.Csr.edges c = Netgraph.Graph.edges g in
-      if
-        not
-          (s1.S.roles = legacy.Core.Backbone.cds.Core.Cds.roles
-          && same_csr s1.S.udg legacy.Core.Backbone.udg
-          && same_csr s1.S.cds' legacy.Core.Backbone.cds.Core.Cds.cds'
-          && same_csr s1.S.pldel legacy.Core.Backbone.ldel_icds_g
-          && same_csr s1.S.pldel' legacy.Core.Backbone.ldel_icds')
-      then
-        failwith
-          (Printf.sprintf "pipeline bench: sharded diverges from legacy at n = %d" n);
-      if
-        not
-          (Netgraph.Csr.edges sj.S.udg = Netgraph.Csr.edges s1.S.udg
-          && Netgraph.Csr.edges sj.S.pldel = Netgraph.Csr.edges s1.S.pldel)
-      then
-        failwith
-          (Printf.sprintf "pipeline bench: jobs=%d diverges at n = %d" jobs n);
+      (* bit-identity gate: tiling and the pool must not change a
+         single edge *)
+      let want = csrs one_tile in
+      List.iter
+        (fun (j, (s : S.snapshot)) ->
+          if
+            not
+              (s.S.roles = one_tile.S.roles
+              && s.S.connectors = one_tile.S.connectors
+              && s.S.ldel = one_tile.S.ldel
+              && csrs s = want)
+          then
+            failwith
+              (Printf.sprintf
+                 "pipeline bench: jobs=%d diverges from one tile at n = %d" j n))
+        [ (1, s1); (jobs, sj) ];
       record_counts n s1;
       pf "n = %-8d UDG %d edges, PLDel %d edges: identical across variants@."
         n
@@ -930,17 +922,15 @@ let bench_pipeline ?check quick jobs =
         (Netgraph.Csr.edge_count s1.S.pldel);
       timed := (n, true) :: !timed)
     compare_cases;
-  (* the million-node run: sharded CSR only — the Hashtbl pipeline is
-     not run at this size, so the row reports absolute wall time *)
+  (* the million-node run: jobs = 1 only, no comparison *)
   let pts = deploy n_big in
   let big =
     Obs.span
       (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" 1 n_big)
-      (fun () ->
-        Core.Backbone.snapshot (cfg Core.Backbone.Config.Auto 1) pts)
+      (fun () -> Core.Backbone.snapshot (cfg 1) pts)
   in
   record_counts n_big big;
-  pf "n = %-8d UDG %d edges, PLDel %d edges (sharded CSR only)@." n_big
+  pf "n = %-8d UDG %d edges, PLDel %d edges (jobs 1 only)@." n_big
     (Netgraph.Csr.edge_count big.S.udg)
     (Netgraph.Csr.edge_count big.S.pldel);
   timed := (n_big, false) :: !timed;
@@ -954,24 +944,24 @@ let bench_pipeline ?check quick jobs =
     | Some sp -> sp.Obs.Snapshot.seconds
     | None -> nan
   in
-  pf "@.%-9s %11s %12s %12s %8s@." "n" "legacy (s)" "sharded (s)"
+  pf "@.%-9s %11s %12s %12s %8s@." "n" "1 tile (s)" "j=1 (s)"
     (Printf.sprintf "j=%d (s)" jobs)
-    "x csr";
+    "x jobs";
   List.iter
     (fun (n, compared) ->
       let t1 = seconds (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" 1 n) in
-      let tj =
-        if jobs > 1 && compared then
-          seconds (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" jobs n)
-        else t1
-      in
       if compared then begin
-        let tl = seconds (Printf.sprintf "bench.pipeline.legacy.n%d" n) in
-        pf "%-9d %11.3f %12.3f %12.3f %8.2f@." n tl t1 tj (tl /. t1)
+        let t0 = seconds (Printf.sprintf "bench.pipeline.one_tile.n%d" n) in
+        let tj =
+          if jobs > 1 then
+            seconds (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" jobs n)
+          else t1
+        in
+        pf "%-9d %11.3f %12.3f %12.3f %8.2f@." n t0 t1 tj (t1 /. tj)
       end
       else pf "%-9d %11s %12.3f %12s %8s@." n "-" t1 "-" "-")
     (List.rev !timed);
-  pf "(sharded outputs verified bit-identical to the legacy pipeline)@.";
+  pf "(auto-tiled outputs verified bit-identical to one tile, jobs 1)@.";
   let file = "BENCH_pipeline.json" in
   (match check with
   | Some threshold ->
@@ -1055,10 +1045,18 @@ let bench_serve ?check quick jobs =
   pf "n = %d nodes, %d queries, mix %s, skew %s@." n q_count
     (Serve.Workload.mix_to_string mix)
     (Serve.Workload.skew_to_string skew);
+  (* [Serve.Engine.run] leaves its allocation gauge to the last run,
+     so each leg records its own copy under its label *)
   let serve label jobs latency w =
-    Obs.span
-      (Printf.sprintf "bench.serve.%s.n%d" label n)
-      (fun () -> Serve.Engine.run ~jobs ~batch:4096 ~latency ~store w)
+    let r =
+      Obs.span
+        (Printf.sprintf "bench.serve.%s.n%d" label n)
+        (fun () -> Serve.Engine.run ~jobs ~batch:4096 ~latency ~store w)
+    in
+    Obs.set_gauge
+      (Obs.gauge (Printf.sprintf "bench.serve.%s.minor_words_per_query" label))
+      (Serve.Engine.summarize r).Serve.Engine.s_minor_per_query;
+    r
   in
   let r1 = serve "q.j1" 1 false w in
   let rj =

@@ -204,49 +204,14 @@ let connected =
 
 let jobs =
   let doc =
-    "Worker domains for the stretch metrics (default: the machine's \
-     recommended domain count).  Results are bit-identical for any value; \
-     only wall-clock time changes."
+    "Worker domains for the construction and the stretch metrics \
+     (default: the machine's recommended domain count).  Results are \
+     bit-identical for any value; only wall-clock time changes."
   in
   Arg.(
     value
     & opt int (Netgraph.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
-
-let partition =
-  let doc =
-    "Construction partition: $(b,auto) runs the sharded CSR pipeline on \
-     grid tiles for large instances (>= 5000 nodes), $(b,serial) forces \
-     the legacy single-domain Hashtbl build, and a positive integer \
-     $(docv) forces tile-sharding with that many tiles per axis.  Every \
-     mode produces bit-identical structures; only construction speed \
-     changes."
-  in
-  let part_conv =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "auto" -> Ok Config.Auto
-      | "serial" -> Ok Config.Serial
-      | s -> (
-        match int_of_string_opt s with
-        | Some k when k >= 1 -> Ok (Config.Tiles k)
-        | _ ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "expected auto, serial or a positive tile count, got %S" s)))
-    in
-    let print fmt = function
-      | Config.Auto -> Format.pp_print_string fmt "auto"
-      | Config.Serial -> Format.pp_print_string fmt "serial"
-      | Config.Tiles k -> Format.pp_print_int fmt k
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt part_conv Config.Auto
-    & info [ "partition"; "tiles" ] ~docv:"PART" ~doc)
 
 (* ---------------- deployment I/O ---------------- *)
 
@@ -312,16 +277,34 @@ let generate_cmd =
 
 (* ---------------- build ---------------- *)
 
+(* Print the part of span [root] that none of its direct children
+   covers. *)
+let report_unattributed root =
+  let seconds_of keep =
+    List.fold_left
+      (fun acc (sp : Obs.Snapshot.span_stats) ->
+        if keep sp.Obs.Snapshot.path then acc +. sp.Obs.Snapshot.seconds
+        else acc)
+      0. (Obs.Snapshot.capture ()).Obs.Snapshot.spans
+  in
+  let total = seconds_of (String.equal root) in
+  let child p = Filename.dirname p = root in
+  Printf.eprintf "%s: %.3f s, %.3f s outside its child spans\n%!" root total
+    (total -. seconds_of child)
+
 let build_cmd =
-  let run seed n side radius input jobs partition stats_fmt trace =
+  let run seed n side radius input jobs stats_fmt trace =
     with_stats stats_fmt @@ fun () ->
     with_trace trace @@ fun () ->
-    let pts = deployment ~seed ~n ~side ~radius ~connected:true ~input in
-    let bb =
-      Core.Backbone.run
-        { Config.default with Config.radius; jobs; partition }
-        pts
+    Obs.span "build" (fun () ->
+    let pts =
+      Obs.span "deployment" (fun () ->
+          deployment ~seed ~n ~side ~radius ~connected:true ~input)
     in
+    let bb = Core.Backbone.run { Config.default with Config.radius; jobs } pts in
+    let structures = Core.Backbone.structures bb in
+    let planar = Netgraph.Planarity.is_planar bb.Core.Backbone.ldel_icds_g pts in
+    Obs.span "print" @@ fun () ->
     let roles = bb.Core.Backbone.cds.Core.Cds.roles in
     let dominators =
       Array.fold_left
@@ -343,30 +326,27 @@ let build_cmd =
         let d = Netgraph.Metrics.degree_stats g in
         Printf.printf "%-13s %8d %8.2f %8d\n" name d.Netgraph.Metrics.edges
           d.Netgraph.Metrics.deg_avg d.Netgraph.Metrics.deg_max)
-      (Core.Backbone.structures bb);
-    Printf.printf "planar backbone: %b\n"
-      (Netgraph.Planarity.is_planar bb.Core.Backbone.ldel_icds_g pts);
+      structures;
+    Printf.printf "planar backbone: %b\n" planar;
+    flush stdout);
+    if Option.is_some stats_fmt then report_unattributed "build";
     0
   in
   let doc = "construct all backbone structures and print statistics" in
   Cmd.v
     (Cmd.info "build" ~doc)
     Term.(
-      const run $ seed $ nodes $ side $ radius $ input $ jobs $ partition
-      $ stats $ trace_file)
+      const run $ seed $ nodes $ side $ radius $ input $ jobs $ stats
+      $ trace_file)
 
 (* ---------------- measure ---------------- *)
 
 let measure_cmd =
-  let run seed n side radius input jobs partition stats_fmt trace =
+  let run seed n side radius input jobs stats_fmt trace =
     with_stats stats_fmt @@ fun () ->
     with_trace trace @@ fun () ->
     let pts = deployment ~seed ~n ~side ~radius ~connected:true ~input in
-    let bb =
-      Core.Backbone.run
-        { Config.default with Config.radius; jobs; partition }
-        pts
-    in
+    let bb = Core.Backbone.run { Config.default with Config.radius; jobs } pts in
     let rows = Core.Quality.rows bb in
     Format.printf "%a@." Core.Quality.pp_agg_header ();
     List.iter (fun r -> Format.printf "%a@." Core.Quality.pp_row r) rows;
@@ -376,8 +356,8 @@ let measure_cmd =
   Cmd.v
     (Cmd.info "measure" ~doc)
     Term.(
-      const run $ seed $ nodes $ side $ radius $ input $ jobs $ partition
-      $ stats $ trace_file)
+      const run $ seed $ nodes $ side $ radius $ input $ jobs $ stats
+      $ trace_file)
 
 (* ---------------- route ---------------- *)
 
@@ -1412,7 +1392,7 @@ let serve_cmd =
       Printf.eprintf "serve: %s failed to validate: %s\n" file msg;
       1
   in
-  let run seed n side radius input jobs partition queries mix skew rate batch
+  let run seed n side radius input jobs queries mix skew rate batch
       churn churn_jitter no_latency out listen stats_fmt trace =
     with_stats stats_fmt @@ fun () ->
     with_trace trace @@ fun () ->
@@ -1433,7 +1413,7 @@ let serve_cmd =
       with_listen ~routes:[ ("/epoch", epoch_route) ] listen @@ fun lport ->
       let pts = deployment ~seed ~n ~side ~radius ~connected:true ~input in
       let n = Array.length pts in
-      let cfg = { Config.default with Config.radius; jobs; partition } in
+      let cfg = { Config.default with Config.radius; jobs } in
       let store = Serve.Store.create (Core.Backbone.snapshot cfg pts) in
       store_ref := Some store;
       let w =
@@ -1536,7 +1516,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run $ seed $ nodes $ side $ radius $ input $ jobs $ partition
+      const run $ seed $ nodes $ side $ radius $ input $ jobs
       $ queries $ mix_arg $ skew_arg $ rate $ batch_arg $ churn $ churn_jitter
       $ no_latency $ out $ listen_arg $ stats $ trace_file)
 

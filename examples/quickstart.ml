@@ -21,11 +21,12 @@ let () =
 
   (* 2. One call builds the whole hierarchy: clustering -> connectors
      -> CDS family -> localized Delaunay planarization.  The [Config]
-     record is the front door; [partition = Auto] switches to the
-     tile-sharded CSR pipeline automatically on large instances, with
-     bit-identical results.  (At million-node scale, prefer
-     [Core.Backbone.snapshot], which returns sealed CSR structures and
-     never materializes a mutable graph.) *)
+     record is the front door; the build runs the tile-sharded CSR
+     pipeline on [jobs] worker domains, with the same result for any
+     [jobs], and [run] converts its sealed structures into graphs.  (At
+     million-node scale, prefer [Core.Backbone.snapshot], which returns
+     the sealed CSR structures and never materializes a mutable
+     graph.) *)
   let bb =
     Core.Backbone.run
       { Core.Backbone.Config.default with Core.Backbone.Config.radius = 60. }

@@ -14,7 +14,6 @@ type t = {
 
 module Config = struct
   type radio = Disk | Quasi of { r_min : float; seed : int64 }
-  type partition = Auto | Tiles of int | Serial
 
   type t = {
     radius : float;
@@ -22,7 +21,6 @@ module Config = struct
     radio : radio;
     sink : Obs.sink option;
     jobs : int;
-    partition : partition;
   }
 
   let default =
@@ -32,24 +30,8 @@ module Config = struct
       radio = Disk;
       sink = None;
       jobs = Netgraph.Pool.default_jobs ();
-      partition = Auto;
     }
 end
-
-(* Instances below this size gain nothing from tiling: the serial
-   chain finishes in milliseconds and avoids the per-stage scratch. *)
-let auto_partition_threshold = 5_000
-
-let add_dominatee_links udg roles g =
-  let links = ref [] in
-  Array.iteri
-    (fun u r ->
-      if r = Mis.Dominatee then
-        List.iter
-          (fun d -> links := (u, d) :: !links)
-          (Mis.dominators_of udg roles u))
-    roles;
-  G.union g (G.of_edges (G.node_count g) !links)
 
 (* Enable the sink (when given) around [stages], reporting on exit. *)
 let with_sink sink stages =
@@ -64,118 +46,65 @@ let with_sink sink stages =
         Obs.report sink)
       stages
 
-let with_jobs jobs f =
-  if jobs > 1 then Netgraph.Pool.with_pool ~jobs (fun p -> f (Some p))
-  else f None
-
-let quasi_udg points ~radius ~r_min ~seed =
-  Wireless.Udg.build_quasi
-    (Wireless.Rand.create seed)
-    points ~r_min ~r_max:radius
-
-let partitioned (cfg : Config.t) n =
-  match cfg.Config.partition with
-  | Config.Serial -> false
-  | Config.Tiles _ -> true
-  | Config.Auto -> (
-    n >= auto_partition_threshold
-    && match cfg.Config.radio with Config.Disk -> true | Config.Quasi _ -> false)
-
-let run_sharded (cfg : Config.t) points =
+let pipeline (cfg : Config.t) points =
   let radius = cfg.Config.radius in
-  Obs.span "backbone" (fun () ->
-      let tiles =
-        match cfg.Config.partition with Config.Tiles k -> Some k | _ -> None
-      in
-      let pre_udg =
-        (* the quasi radio draws links from a sequential RNG stream, so
-           its UDG is built serially and only the later stages shard *)
-        match cfg.Config.radio with
-        | Config.Disk -> None
-        | Config.Quasi { r_min; seed } ->
-          Some
-            (Obs.span "udg" (fun () ->
-                 Netgraph.Csr.of_graph (quasi_udg points ~radius ~r_min ~seed)))
-      in
-      let snap =
-        with_jobs cfg.Config.jobs (fun pool ->
-            Shard.pipeline ?pool ?tiles ?priority:cfg.Config.priority
-              ?udg:pre_udg points ~radius)
-      in
-      (* rebuild the legacy record from the snapshot: the stitched
-         role/connector/LDel lists equal the serial ones, so these
-         adapters reproduce [run]'s serial output graph for graph *)
-      Obs.span "thaw" (fun () ->
-          let udg = Netgraph.Csr.to_graph snap.Shard.udg in
-          let cds = Cds.build udg snap.Shard.roles snap.Shard.connectors in
-          let ldel_icds = Ldel.of_parts (Array.length points) snap.Shard.ldel in
-          let ldel_icds_g = ldel_icds.Ldel.planar in
-          let ldel_icds' =
-            add_dominatee_links udg snap.Shard.roles ldel_icds_g
-          in
-          {
-            points;
-            radius;
-            jobs = max 1 cfg.Config.jobs;
-            udg;
-            cds;
-            ldel_icds;
-            ldel_icds_g;
-            ldel_icds';
-            planar_csr = snap.Shard.pldel;
-          }))
+  let udg =
+    (* the quasi radio draws links from a sequential RNG stream, so its
+       UDG is built serially and only the later stages shard *)
+    match cfg.Config.radio with
+    | Config.Disk -> None
+    | Config.Quasi { r_min; seed } ->
+      Some
+        (Obs.span "udg" (fun () ->
+             Netgraph.Csr.of_graph
+               (Wireless.Udg.build_quasi
+                  (Wireless.Rand.create seed)
+                  points ~r_min ~r_max:radius)))
+  in
+  let stages pool =
+    Shard.pipeline ?pool ?priority:cfg.Config.priority ?udg points ~radius
+  in
+  (* a pool pays only once the automatic tiling splits the input;
+     below that one domain runs every stage, and the kernels count *)
+  if cfg.Config.jobs > 1 && Shard.auto_tiles_per_axis (Array.length points) > 1
+  then
+    Netgraph.Pool.with_pool ~jobs:cfg.Config.jobs (fun p -> stages (Some p))
+  else stages None
 
-let run_serial (cfg : Config.t) points =
-  let radius = cfg.Config.radius in
-  Obs.span "backbone" (fun () ->
-      let udg =
-        Obs.span "udg" (fun () ->
-            match cfg.Config.radio with
-            | Config.Disk -> Wireless.Udg.build points ~radius
-            | Config.Quasi { r_min; seed } ->
-              quasi_udg points ~radius ~r_min ~seed)
-      in
-      let cds = Cds.of_udg ?priority:cfg.Config.priority udg in
-      let ldel_icds =
-        Obs.span "ldel" (fun () -> Ldel.build cds.Cds.icds points ~radius)
-      in
-      let ldel_icds_g = ldel_icds.Ldel.planar in
-      let ldel_icds' =
-        Obs.span "links" (fun () ->
-            add_dominatee_links udg cds.Cds.roles ldel_icds_g)
-      in
+let snapshot (cfg : Config.t) points =
+  with_sink cfg.Config.sink (fun () -> pipeline cfg points)
+
+(* The sealed snapshot as the Graph-typed record: one [Csr.to_graph]
+   per structure, and the LDel lists as [Ldel.t]. *)
+let thaw (cfg : Config.t) (s : Shard.snapshot) =
+  let cds =
+    Cds.thaw s.Shard.roles s.Shard.connectors
       {
-        points;
-        radius;
-        jobs = max 1 cfg.Config.jobs;
-        udg;
-        cds;
-        ldel_icds;
-        ldel_icds_g;
-        ldel_icds';
-        planar_csr = Netgraph.Csr.of_graph ~points ldel_icds_g;
-      })
+        Shard.backbone = s.Shard.backbone;
+        cds = s.Shard.cds;
+        cds' = s.Shard.cds';
+        icds = s.Shard.icds;
+        icds' = s.Shard.icds';
+      }
+  in
+  let ldel_icds = Ldel.of_parts (Array.length s.Shard.points) s.Shard.ldel in
+  {
+    points = s.Shard.points;
+    radius = s.Shard.radius;
+    jobs = max 1 cfg.Config.jobs;
+    udg = Netgraph.Csr.to_graph s.Shard.udg;
+    cds;
+    ldel_icds;
+    ldel_icds_g = ldel_icds.Ldel.planar;
+    ldel_icds' = Netgraph.Csr.to_graph_over ldel_icds.Ldel.planar s.Shard.pldel';
+    planar_csr = s.Shard.pldel;
+  }
 
 let run (cfg : Config.t) points =
   with_sink cfg.Config.sink (fun () ->
-      if partitioned cfg (Array.length points) then run_sharded cfg points
-      else run_serial cfg points)
-
-let snapshot (cfg : Config.t) points =
-  let radius = cfg.Config.radius in
-  with_sink cfg.Config.sink (fun () ->
-      let tiles =
-        match cfg.Config.partition with Config.Tiles k -> Some k | _ -> None
-      in
-      let pre_udg =
-        match cfg.Config.radio with
-        | Config.Disk -> None
-        | Config.Quasi { r_min; seed } ->
-          Some (Netgraph.Csr.of_graph (quasi_udg points ~radius ~r_min ~seed))
-      in
-      with_jobs cfg.Config.jobs (fun pool ->
-          Shard.pipeline ?pool ?tiles ?priority:cfg.Config.priority ?udg:pre_udg
-            points ~radius))
+      Obs.span "backbone" (fun () ->
+          let s = pipeline cfg points in
+          Obs.span "thaw" (fun () -> thaw cfg s)))
 
 let build ?priority points ~radius =
   run { Config.default with Config.radius; priority } points

@@ -4,7 +4,9 @@
     [run] computes every structure the paper evaluates, over one node
     deployment, driven by a {!Config.t}.  This is the library's front
     door: examples, the CLI, the benchmarks and the experiment sweeps
-    all consume this record. *)
+    all consume this record.  Every build runs the one construction
+    path, {!Shard.pipeline}; [run] converts its sealed snapshot into
+    this Graph-typed record. *)
 
 type t = {
   points : Geometry.Point.t array;
@@ -21,8 +23,7 @@ type t = {
           structure spanning all nodes *)
   planar_csr : Netgraph.Csr.t;
       (** PLDel(ICDS) as a sealed CSR snapshot with Euclidean arc
-          weights — the read-optimized form of [ldel_icds_g], identical
-          on both the serial and the partitioned path *)
+          weights — the read-optimized form of [ldel_icds_g] *)
 }
 
 (** Pipeline configuration — one record instead of a growing pile of
@@ -33,15 +34,6 @@ module Config : sig
       survive with distance-proportional probability (drawn from a
       dedicated RNG seeded by [seed], so a config is reproducible). *)
   type radio = Disk | Quasi of { r_min : float; seed : int64 }
-
-  (** How the pipeline build itself is executed.  [Serial] is the
-      legacy single-threaded chain; [Tiles k] forces the sharded
-      CSR-native pipeline ({!Shard}) with [k] tiles per axis; [Auto]
-      picks the sharded pipeline for disk-radio instances of at least
-      ~5k nodes and the serial chain otherwise (the quasi radio's
-      RNG-ordered link draws keep its UDG stage serial under [Auto]).
-      Both paths produce bit-identical structures. *)
-  type partition = Auto | Tiles of int | Serial
 
   type t = {
     radius : float;  (** transmission radius, shared by all nodes *)
@@ -55,34 +47,34 @@ module Config : sig
             obs state afterwards; call [Obs.reset] first for numbers
             isolated to one run *)
     jobs : int;
-        (** worker domains (see {!Netgraph.Pool}) — used by the
-            partitioned build and as the default parallelism for
-            metrics over this instance *)
-    partition : partition;
+        (** worker domains (see {!Netgraph.Pool}) for builds whose
+            automatic tiling splits the input
+            ({!Shard.auto_tiles_per_axis} [> 1]), and the default
+            parallelism for metrics over this instance; outputs are the
+            same for any value.  Builds without a pool count the
+            kernels' predicate and Delaunay work in {!Obs}. *)
   }
 
   (** radius 60, smallest-ID clustering, ideal disk, no sink,
-      [jobs = Netgraph.Pool.default_jobs ()], [partition = Auto]. *)
+      [jobs = Netgraph.Pool.default_jobs ()]. *)
   val default : t
 end
 
-(** [run cfg points] runs the whole pipeline.  The UDG need not be
+(** [run cfg points] runs the whole pipeline: {!snapshot}, then a
+    thaw of the sealed structures into graphs ({!Netgraph.Csr.to_graph},
+    and {!Ldel.of_parts} for LDel(ICDS)).  The UDG need not be
     connected, but the spanner guarantees only hold per component.
-    On the serial path, stage timings are charged to obs spans
-    [backbone/udg], [backbone/cds/mis], [backbone/cds/connectors],
-    [backbone/cds/assemble], [backbone/ldel] and [backbone/links]; on
-    the partitioned path the [shard.*] spans replace the per-stage
-    ones (plus [backbone/thaw] for rebuilding the legacy graphs).
-    Both paths return the same structures bit for bit.  For
-    million-node instances prefer {!snapshot}, which skips the
-    legacy-graph thaw entirely. *)
+    Stage timings land in the [shard.*] obs spans under
+    [backbone/shard] (plus [backbone/udg] for the quasi radio), the
+    conversion in [backbone/thaw].  For million-node instances prefer
+    {!snapshot}, which skips the thaw. *)
 val run : Config.t -> Geometry.Point.t array -> t
 
-(** [snapshot cfg points] runs the sharded CSR-native pipeline
-    ({!Shard.pipeline}) under [cfg] — partition, jobs, radio, priority
-    and sink are honored as in {!run} — and returns the sealed
-    snapshot without ever materializing a mutable graph.  This is the
-    front door for million-node instances. *)
+(** [snapshot cfg points] runs {!Shard.pipeline} under [cfg] — jobs,
+    radio, priority and sink are honored as in {!run}, with auto
+    tiling — and returns the sealed snapshot without ever
+    materializing a mutable graph.  This is the front door for
+    million-node instances. *)
 val snapshot : Config.t -> Geometry.Point.t array -> Shard.snapshot
 
 (** [build points ~radius] is
@@ -93,9 +85,9 @@ val snapshot : Config.t -> Geometry.Point.t array -> Shard.snapshot
 val build :
   ?priority:(int -> int) -> Geometry.Point.t array -> radius:float -> t
 
-(** [ldel_full t] lazily computes LDel/PLDel over the whole UDG — the
-    "LDel" baseline row of Table I (not part of the backbone
-    pipeline, so it is not built eagerly). *)
+(** [ldel_full t] lazily computes LDel/PLDel over the whole UDG with
+    {!Ldel.build} — the "LDel" baseline row of Table I (not part of
+    the backbone pipeline, so it is not built eagerly). *)
 val ldel_full : t -> Ldel.t
 
 (** {1 Structure registry}

@@ -1,4 +1,5 @@
 module G = Netgraph.Graph
+module Csr = Netgraph.Csr
 
 type t = {
   roles : Mis.role array;
@@ -10,36 +11,26 @@ type t = {
   icds' : G.t;
 }
 
+let thaw roles connectors (f : Shard.cds_family) =
+  let cds = Csr.to_graph f.Shard.cds and icds = Csr.to_graph f.Shard.icds in
+  {
+    roles;
+    connectors;
+    backbone = f.Shard.backbone;
+    cds;
+    cds' = Csr.to_graph_over cds f.Shard.cds';
+    icds;
+    icds' = Csr.to_graph_over icds f.Shard.icds';
+  }
+
 let build udg roles connectors =
-  let n = G.node_count udg in
-  let backbone =
-    Array.init n (fun u ->
-        roles.(u) = Mis.Dominator || connectors.Connectors.connector.(u))
-  in
-  let cds = G.of_edges n connectors.Connectors.cds_edges in
-  let links =
-    List.concat
-      (List.init n (fun u ->
-           if roles.(u) = Mis.Dominatee then
-             List.map (fun d -> (u, d)) (Mis.dominators_of udg roles u)
-           else []))
-  in
-  let dominatee_links g = G.union g (G.of_edges n links) in
-  let cds' = dominatee_links cds in
-  let icds = G.induced udg (fun u -> backbone.(u)) in
-  let icds' = dominatee_links icds in
-  { roles; connectors; backbone; cds; cds'; icds; icds' }
+  thaw roles connectors (Shard.cds_family (Csr.of_graph udg) roles connectors)
 
 let of_udg ?priority udg =
-  Obs.span "cds" (fun () ->
-      let roles =
-        Obs.span "mis" (fun () ->
-            match priority with
-            | None -> Mis.compute udg
-            | Some priority -> Mis.compute_with_priority udg ~priority)
-      in
-      let connectors = Obs.span "connectors" (fun () -> Connectors.find udg roles) in
-      Obs.span "assemble" (fun () -> build udg roles connectors))
+  let csr = Csr.of_graph udg in
+  let roles = Mis.compute_csr ?priority csr in
+  let connectors = Connectors.find_csr csr roles in
+  thaw roles connectors (Shard.cds_family csr roles connectors)
 
 let backbone_nodes t =
   let acc = ref [] in

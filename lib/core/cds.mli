@@ -12,7 +12,10 @@
     - [ICDS]: the unit disk graph induced on the backbone nodes
       (dominators and connectors): every UDG link between backbone
       nodes.  CDS ⊆ ICDS.
-    - [ICDS′]: ICDS plus the dominatee–dominator edges. *)
+    - [ICDS′]: ICDS plus the dominatee–dominator edges.
+
+    The constructors are adapters over {!Shard.cds_family}, the one
+    assembly of the four graphs. *)
 
 type t = {
   roles : Mis.role array;
@@ -24,13 +27,17 @@ type t = {
   icds' : Netgraph.Graph.t;
 }
 
-(** [build udg roles connectors] assembles all four graphs. *)
+(** [thaw roles connectors family] converts a sealed family. *)
+val thaw : Mis.role array -> Connectors.result -> Shard.cds_family -> t
+
+(** [build udg roles connectors] assembles all four graphs, for any
+    connector selection of {!Connectors}. *)
 val build : Netgraph.Graph.t -> Mis.role array -> Connectors.result -> t
 
 (** Convenience: cluster, elect connectors and assemble in one call.
     [priority] overrides the clustering order (smaller wins; default
     the node id, the paper's smallest-ID rule) — used by alternative
-    clusterings and by {!Maintenance} to keep existing dominators. *)
+    clusterings such as {!Energy}'s rotation. *)
 val of_udg : ?priority:(int -> int) -> Netgraph.Graph.t -> t
 
 (** Backbone node ids, increasing. *)

@@ -12,7 +12,12 @@
     connectors for the same pair are therefore never adjacent — this
     bounds the number of connectors per pair (at most 2 for two-hop
     pairs, Lemma: the lune argument) without requiring a global
-    leader. *)
+    leader.
+
+    {!find_csr} is the one implementation of the paper's elections
+    (the stage {!Shard.pipeline} runs); {!find} is an adapter over it
+    for callers that hold a {!Netgraph.Graph.t}.  {!Protocol} runs the
+    elections as messages and is the independent oracle. *)
 
 type result = {
   connector : bool array;  (** elected as connector for some pair *)
@@ -26,18 +31,18 @@ type result = {
 }
 
 (** [find g roles] runs the two elections of Algorithm 1 on the unit
-    disk graph [g] with the clustering [roles]. *)
+    disk graph [g] with the clustering [roles]:
+    [find_csr (Csr.of_graph g) roles]. *)
 val find : Netgraph.Graph.t -> Mis.role array -> result
 
-(** [find_csr csr roles] runs the same elections directly on a CSR
-    snapshot and returns a result equal to [find] field for field.
+(** [find_csr csr roles] runs the elections on a CSR snapshot.
     Every pair election is 2-local around one dominator of the pair
     (the smaller one for two-hop pairs, the first one for ordered
     three-hop pairs), so with [owners] (tile partition of the node
     ids) each pair is processed exactly once from its owner's tile;
     with [pool] the tiles fan out across its domains.  Per-tile
-    results are merged by deterministic sorts, so the output is
-    bit-identical for any tiling and any job count. *)
+    results are merged by deterministic sorts, so the output is the
+    same for any tiling and any job count. *)
 val find_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->
@@ -51,11 +56,11 @@ val find_csr :
 val candidates_two_hop :
   Netgraph.Graph.t -> Mis.role array -> int -> int -> int list
 
-(** [elect g candidates] applies the local-minimum rule: a candidate
-    wins when no other candidate it can hear in [g] has a smaller id.
-    The winner set is never empty when [candidates] is non-empty, and
-    no two winners are adjacent. *)
-val elect : Netgraph.Graph.t -> int list -> int list
+(** [elect_by adjacent candidates] applies the local-minimum rule: a
+    candidate [w] wins when no other candidate [x] it can hear
+    ([adjacent w x]) has a smaller id.  The winner set is never empty
+    when [candidates] is non-empty, and no two winners are adjacent. *)
+val elect_by : (int -> int -> bool) -> int list -> int list
 
 (** [find_alzoubi g roles] is the alternative connector selection the
     paper reviews (Alzoubi et al.): instead of candidate elections,

@@ -49,54 +49,12 @@ let local_triangles_of_neighborhood ~me ~me_pos ~nbrs =
   let locals = Array.of_list ((me, me_pos) :: nbrs) in
   local_triangles (Array.map fst locals) (Array.map snd locals)
 
-let local_delaunay_triangles g points u =
-  local_triangles_of_neighborhood ~me:u ~me_pos:points.(u)
-    ~nbrs:(List.map (fun v -> (v, points.(v))) (G.neighbors g u))
-
-(* k-hop variant: the same computation over N_k(u). *)
-let local_delaunay_triangles_k g points ~k u =
-  let nbrs =
-    List.filter_map
-      (fun v -> if v = u then None else Some (v, points.(v)))
-      (Wireless.Udg.neighborhood g u ~hops:k)
-  in
-  local_triangles_of_neighborhood ~me:u ~me_pos:points.(u) ~nbrs
-
-module TriSet = Set.Make (struct
-  type t = int * int * int
-
-  let compare = cmp_tri
-end)
-
 let fits points ~radius a b c =
   P.dist points.(a) points.(b) <= radius
   && P.dist points.(b) points.(c) <= radius
   && P.dist points.(a) points.(c) <= radius
 
 let triangle_fits points ~radius (a, b, c) = fits points ~radius a b c
-
-let accepted_triangles_gen g points ~radius ~local_triangles =
-  let n = G.node_count g in
-  (* A triangle is accepted when all three corners find it in their
-     local Delaunay (= its circumcircle is empty of each corner's
-     k-hop neighborhood) and all its links are within range. *)
-  let local = Array.make n TriSet.empty in
-  for u = 0 to n - 1 do
-    local.(u) <- TriSet.of_list (local_triangles u)
-  done;
-  let acc = ref TriSet.empty in
-  for u = 0 to n - 1 do
-    TriSet.iter
-      (fun (a, b, c) ->
-        if
-          triangle_fits points ~radius (a, b, c)
-          && TriSet.mem (a, b, c) local.(a)
-          && TriSet.mem (a, b, c) local.(b)
-          && TriSet.mem (a, b, c) local.(c)
-        then acc := TriSet.add (a, b, c) !acc)
-      local.(u)
-  done;
-  TriSet.elements !acc
 
 (* ---- Algorithm 3: one flat pair kernel ---------------------------- *)
 
@@ -270,30 +228,6 @@ let graph_of n gabriel triangles =
     (gabriel
     @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) triangles)
 
-let gabriel_edges_of g points =
-  List.filter
-    (fun (u, v) -> Wireless.Proximity.is_gabriel_edge points g u v)
-    (G.edges g)
-
-let build_gen g points ~radius ~local_triangles =
-  let gabriel_edges = gabriel_edges_of g points in
-  let triangles =
-    accepted_triangles_gen g points ~radius ~local_triangles
-  in
-  let kept_triangles = planarize g points triangles in
-  let n = G.node_count g in
-  {
-    ldel1 = graph_of n gabriel_edges triangles;
-    planar = graph_of n gabriel_edges kept_triangles;
-    gabriel_edges;
-    triangles;
-    kept_triangles;
-  }
-
-let build g points ~radius =
-  build_gen g points ~radius
-    ~local_triangles:(local_delaunay_triangles g points)
-
 (* ---- CSR-native, tile-sharded construction ------------------------- *)
 
 type csr_parts = {
@@ -330,18 +264,17 @@ let mem_tri arr a b c =
   done;
   !lo < Array.length arr / 3 && cmp_at arr !lo a b c = 0
 
-(* [build] on a CSR snapshot, without the Hashtbl graph.  Stage L1
-   computes every node's local Delaunay triangles (neighbor lists fed
-   in the same ascending order as [G.neighbors], so degenerate
-   tie-breaks inside the triangulation match the serial build); stage
-   L2 accepts a triangle from its min-corner's tile exactly when the
-   other two corners also found it and the links fit — the same
-   intersection [accepted_triangles_gen] computes, each triangle
-   decided exactly once; Gabriel edges are filtered from the owner
-   side of each row.  Per-tile lists merge by sorting, which
-   reproduces the serial sorted outputs for any tiling and job
-   count. *)
-let build_csr ?pool ?owners csr points ~radius =
+(* LDel¹/PLDel on a CSR snapshot.  Stage L1 computes every node's
+   local Delaunay triangles from its row of [near] (its neighborhood,
+   in ascending id order, so degenerate tie-breaks inside the
+   triangulation are the same wherever the node runs — here or in
+   [Protocol]); stage L2 accepts a triangle from its min-corner's tile
+   exactly when the other two corners also found it and the links
+   fit, so each triangle is decided exactly once; Gabriel edges are
+   filtered from the owner side of each row of [csr].  Per-tile lists
+   merge by sorting, so the outputs are the same for any tiling and
+   job count. *)
+let parts ?pool ?owners ~near csr points ~radius =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
   let owners =
@@ -359,85 +292,103 @@ let build_csr ?pool ?owners csr points ~radius =
         body t
       done
   in
-  Obs.quiesced (fun () ->
-      (* L1: per-node local triangles, sorted for binary search, as
-         flat arrays of three ids each *)
-      let locals = Array.make n [||] in
-      let l1 u =
-        let k = 1 + C.degree csr u in
-        let ids = Array.make k u and pos = Array.make k points.(u) in
-        let i = ref 1 in
+  let stages () =
+    (* L1: per-node local triangles, sorted for binary search, as flat
+       arrays of three ids each *)
+    let locals = Array.make n [||] in
+    let l1 u =
+      let k = 1 + C.degree near u in
+      let ids = Array.make k u and pos = Array.make k points.(u) in
+      let i = ref 1 in
+      C.iter_neighbors near u (fun v ->
+          ids.(!i) <- v;
+          pos.(!i) <- points.(v);
+          incr i);
+      (* distinct ids (CSR rows are duplicate-free), so the triples are
+         distinct and sorting needs no dedup *)
+      let tris = Array.of_list (local_triangles ids pos) in
+      Array.sort cmp_tri tris;
+      let flat = Array.make (3 * Array.length tris) 0 in
+      Array.iteri
+        (fun k (a, b, c) ->
+          flat.(3 * k) <- a;
+          flat.((3 * k) + 1) <- b;
+          flat.((3 * k) + 2) <- c)
+        tris;
+      locals.(u) <- flat
+    in
+    (match pool with
+    | Some p -> Netgraph.Pool.parallel_for p ~n (fun () -> l1)
+    | None ->
+      for u = 0 to n - 1 do
+        l1 u
+      done);
+    (* L2 + Gabriel: per-tile over owned nodes *)
+    let gab_by_tile = Array.make ntiles [] in
+    let acc_by_tile = Array.make ntiles [] in
+    let mk_body () =
+      let gab = ref [] and acc = ref [] in
+      let at u =
         C.iter_neighbors csr u (fun v ->
-            ids.(!i) <- v;
-            pos.(!i) <- points.(v);
-            incr i);
-        (* distinct ids (CSR rows are duplicate-free), so the triples
-           are distinct and sorting needs no dedup *)
-        let tris = Array.of_list (local_triangles ids pos) in
-        Array.sort cmp_tri tris;
-        let flat = Array.make (3 * Array.length tris) 0 in
-        Array.iteri
-          (fun k (a, b, c) ->
-            flat.(3 * k) <- a;
-            flat.((3 * k) + 1) <- b;
-            flat.((3 * k) + 2) <- c)
-          tris;
-        locals.(u) <- flat
+            if v > u then begin
+              (* [Proximity.is_gabriel_edge] off u's CSR row *)
+              let blocked = ref false in
+              C.iter_neighbors csr u (fun w ->
+                  if
+                    (not !blocked) && w <> v
+                    && Geometry.Circle.in_diametral points.(u) points.(v)
+                         points.(w)
+                  then blocked := true);
+              if not !blocked then gab := (u, v) :: !gab
+            end);
+        let mine = locals.(u) in
+        for k = 0 to (Array.length mine / 3) - 1 do
+          let a = mine.(3 * k) and b = mine.((3 * k) + 1) in
+          let c = mine.((3 * k) + 2) in
+          if
+            a = u
+            && fits points ~radius a b c
+            && mem_tri locals.(b) a b c
+            && mem_tri locals.(c) a b c
+          then acc := (a, b, c) :: !acc
+        done
       in
-      (match pool with
-      | Some p -> Netgraph.Pool.parallel_for p ~n (fun () -> l1)
-      | None ->
-        for u = 0 to n - 1 do
-          l1 u
-        done);
-      (* L2 + Gabriel: per-tile over owned nodes *)
-      let gab_by_tile = Array.make ntiles [] in
-      let acc_by_tile = Array.make ntiles [] in
-      let mk_body () =
-        let gab = ref [] and acc = ref [] in
-        let at u =
-          C.iter_neighbors csr u (fun v ->
-              if v > u then begin
-                (* [Proximity.is_gabriel_edge] off u's CSR row *)
-                let blocked = ref false in
-                C.iter_neighbors csr u (fun w ->
-                    if
-                      (not !blocked) && w <> v
-                      && Geometry.Circle.in_diametral points.(u) points.(v)
-                           points.(w)
-                    then blocked := true);
-                if not !blocked then gab := (u, v) :: !gab
-              end);
-          let mine = locals.(u) in
-          for k = 0 to (Array.length mine / 3) - 1 do
-            let a = mine.(3 * k) and b = mine.((3 * k) + 1) in
-            let c = mine.((3 * k) + 2) in
-            if
-              a = u
-              && fits points ~radius a b c
-              && mem_tri locals.(b) a b c
-              && mem_tri locals.(c) a b c
-            then acc := (a, b, c) :: !acc
-          done
-        in
-        fun t ->
-          gab := [];
-          acc := [];
-          Array.iter at owners.(t);
-          gab_by_tile.(t) <- !gab;
-          acc_by_tile.(t) <- !acc
-      in
-      for_tiles mk_body;
-      let concat_of by_tile = List.concat (Array.to_list by_tile) in
-      let p_gabriel = List.sort cmp_pair (concat_of gab_by_tile) in
-      let p_triangles = List.sort cmp_tri (concat_of acc_by_tile) in
-      let p_kept =
-        planarize_flat ?pool ~visible:(C.mem_edge csr) points
-          (Array.of_list p_triangles)
-      in
-      { p_gabriel; p_triangles; p_kept })
+      fun t ->
+        gab := [];
+        acc := [];
+        Array.iter at owners.(t);
+        gab_by_tile.(t) <- !gab;
+        acc_by_tile.(t) <- !acc
+    in
+    for_tiles mk_body;
+    let concat_of by_tile = List.concat (Array.to_list by_tile) in
+    let p_gabriel = List.sort cmp_pair (concat_of gab_by_tile) in
+    let p_triangles = List.sort cmp_tri (concat_of acc_by_tile) in
+    let p_kept =
+      planarize_flat ?pool ~visible:(C.mem_edge csr) points
+        (Array.of_list p_triangles)
+    in
+    { p_gabriel; p_triangles; p_kept }
+  in
+  (* the Obs registry is single-writer: silence it while workers run *)
+  match pool with None -> stages () | Some _ -> Obs.quiesced stages
+
+let build_csr ?pool ?owners csr points ~radius =
+  parts ?pool ?owners ~near:csr csr points ~radius
+
+let build g points ~radius =
+  of_parts (G.node_count g)
+    (build_csr (Netgraph.Csr.of_graph g) points ~radius)
 
 let build_k g points ~radius ~k =
   if k < 1 then invalid_arg "Ldel.build_k: k < 1";
-  build_gen g points ~radius
-    ~local_triangles:(local_delaunay_triangles_k g points ~k)
+  let n = G.node_count g in
+  let b = Netgraph.Builder.create n in
+  for u = 0 to n - 1 do
+    List.iter
+      (fun v -> if v > u then Netgraph.Builder.add_edge b u v)
+      (Wireless.Udg.neighborhood g u ~hops:k)
+  done;
+  of_parts n
+    (parts ~near:(Netgraph.Builder.seal b) (Netgraph.Csr.of_graph g) points
+       ~radius)

@@ -14,9 +14,12 @@
     the survivors plus the Gabriel edges form the planar graph
     [PLDel(G)] the paper routes on.
 
-    The functions here are the centralized reference computation; the
-    message-level protocol in {!Protocol} produces identical output
-    (asserted by the integration tests). *)
+    One kernel, {!build_csr}, computes both on a CSR snapshot; it is
+    the stage {!Shard.pipeline} runs.  {!build} and {!build_k} are
+    adapters over it for callers that hold a {!Netgraph.Graph.t}.  The
+    message-level protocol in {!Protocol} is the independent oracle:
+    it computes the same triangles and Gabriel edges from what its
+    messages carry (asserted by the integration and shard tests). *)
 
 type t = {
   ldel1 : Netgraph.Graph.t;  (** LDel¹: Gabriel edges + triangle edges *)
@@ -33,7 +36,8 @@ type t = {
     graph [g] (edges of [g] must join nodes at distance [<= radius];
     nodes with no incident edge are simply isolated — this is how the
     construction runs on the induced backbone ICDS, whose vertex set
-    is only the dominators and connectors). *)
+    is only the dominators and connectors).  An adapter:
+    [of_parts n (build_csr (Csr.of_graph g) points ~radius)]. *)
 val build : Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> t
 
 (** The three edge/triangle lists of a build, without the materialized
@@ -45,15 +49,18 @@ type csr_parts = {
   p_kept : (int * int * int) list;
 }
 
-(** [build_csr csr points ~radius] computes the same lists as {!build}
-    directly on a CSR snapshot of the (unit disk or induced backbone)
-    graph: per-node local Delaunay triangles, min-corner-owned
-    acceptance, owner-side Gabriel filtering, and the flat, bucketed
-    Algorithm 3 of {!planarize} with CSR adjacency as visibility.
-    With [owners] (tile partition of the node ids) and [pool] all four
-    stages fan out across the pool's domains; per-tile results merge
-    by deterministic sorts, so the output is bit-identical to
-    {!build}'s lists for any tiling and any job count. *)
+(** [build_csr csr points ~radius] computes LDel¹ and PLDel of the
+    (unit disk or induced backbone) graph [csr] as lists: per-node
+    local Delaunay triangles (Algorithm 2, each node fed its row in
+    ascending id order), min-corner-owned acceptance, owner-side
+    Gabriel filtering, and the flat, bucketed Algorithm 3 of
+    {!planarize} with CSR adjacency as visibility.  With [owners]
+    (tile partition of the node ids) and [pool] all four stages fan
+    out across the pool's domains; per-tile results merge by
+    deterministic sorts, so the output is the same for any tiling and
+    any job count.  Without [pool] the predicate and Delaunay
+    counters of {!Obs} count as usual; with one, the registry is
+    quiesced for the call, since its cells are single-writer. *)
 val build_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->
@@ -62,8 +69,7 @@ val build_csr :
   radius:float ->
   csr_parts
 
-(** [of_parts n parts] materializes the two graphs from the lists,
-    yielding a record equal to the serial {!build}'s. *)
+(** [of_parts n parts] materializes the two graphs from the lists. *)
 val of_parts : int -> csr_parts -> t
 
 (** [build_k g points ~radius ~k] is the k-localized Delaunay graph
@@ -71,31 +77,19 @@ val of_parts : int -> csr_parts -> t
     corner's k-hop neighborhood.  Li et al. prove [LDel^k] is planar
     outright for [k >= 2] (the [planar]/[ldel1] fields then coincide —
     the test-suite verifies this empirically); larger [k] trades
-    communication for fewer crossings.  [build_k ~k:1 = build].
+    communication for fewer crossings.  It runs {!build_csr}'s kernel
+    with each node's local triangulation fed its k-hop neighborhood
+    ([Wireless.Udg.neighborhood], ascending ids);
+    [build_k ~k:1 = build].
     @raise Invalid_argument when [k < 1]. *)
 val build_k :
   Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> k:int -> t
 
-(** [local_delaunay_triangles_k g points ~k u] is the k-hop analogue
-    of {!local_delaunay_triangles}: triangles incident to [u] in
-    [Del(N_k(u))]. *)
-val local_delaunay_triangles_k :
-  Netgraph.Graph.t ->
-  Geometry.Point.t array ->
-  k:int ->
-  int ->
-  (int * int * int) list
-
-(** [local_delaunay_triangles g points u] is the set of triangles
-    incident to [u] in [Del(N₁(u))] — what node [u] computes in
-    Algorithm 2 — as normalized sorted triples. *)
-val local_delaunay_triangles :
-  Netgraph.Graph.t -> Geometry.Point.t array -> int -> (int * int * int) list
-
-(** Same computation from a node's own view: its id, position, and
-    1-hop neighbors with positions.  The distributed protocol calls
-    this with exactly the data its messages carry, so protocol and
-    centralized builds coincide by construction. *)
+(** [local_triangles_of_neighborhood ~me ~me_pos ~nbrs] is the set of
+    triangles incident to [me] in [Del(N₁(me))] — what node [me]
+    computes in Algorithm 2 — as normalized sorted triples.  The
+    protocol and {!build_csr} both call it with the same data, so
+    their builds coincide by construction. *)
 val local_triangles_of_neighborhood :
   me:int ->
   me_pos:Geometry.Point.t ->
@@ -138,10 +132,6 @@ val planarize :
   Geometry.Point.t array ->
   (int * int * int) list ->
   (int * int * int) list
-
-(** Gabriel edges of [g] (each with [u < v], sorted). *)
-val gabriel_edges_of :
-  Netgraph.Graph.t -> Geometry.Point.t array -> (int * int) list
 
 (** [circumcircle_contains points t v] holds when node [v] (not a
     corner) lies strictly inside [t]'s circumcircle.  This and

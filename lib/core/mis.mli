@@ -4,15 +4,18 @@
     marks a white node as dominator when it has the smallest ID among
     its white neighbors; its white neighbors then become dominatees.
     The fixpoint of that rule is a maximal independent set, hence a
-    dominating set.  This module is the centralized reference
-    implementation — {!Protocol} runs the same rule as a distributed
-    message-passing protocol and must produce the identical set. *)
+    dominating set.  {!compute_csr} is the one implementation (the
+    stage {!Shard.pipeline} runs); {!compute} and
+    {!compute_with_priority} are adapters over it for callers that
+    hold a {!Netgraph.Graph.t}.  {!Protocol} runs the same rule as a
+    distributed message-passing protocol and is the independent
+    oracle: it must produce the identical set. *)
 
 type role = Dominator | Dominatee
 
 (** [compute g] runs the smallest-ID clustering to fixpoint and
     returns each node's role.  Node ids double as the protocol's
-    distinct IDs. *)
+    distinct IDs.  [compute_csr (Csr.of_graph g)]. *)
 val compute : Netgraph.Graph.t -> role array
 
 (** Same rule with an arbitrary total order on nodes: [priority u]
@@ -21,15 +24,13 @@ val compute : Netgraph.Graph.t -> role array
 val compute_with_priority :
   Netgraph.Graph.t -> priority:(int -> int) -> role array
 
-(** [compute_csr csr] runs the same rule directly on a CSR snapshot —
-    no intermediate mutable graph — and is bit-identical to {!compute}
-    on the same edge set.  [owners] partitions the node ids into tiles
-    (default: one tile holding every node); with [pool], each pass
-    elects per-tile winners and applies them in two barrier-separated
-    phases across the pool's domains.  Winners within a pass are
-    pairwise non-adjacent, so the result is bit-identical for any
-    tiling and any job count.  [priority] is as in
-    {!compute_with_priority}. *)
+(** [compute_csr csr] runs the rule on a CSR snapshot.  [owners]
+    partitions the node ids into tiles (default: one tile holding
+    every node); with [pool], each pass elects per-tile winners and
+    applies them in two barrier-separated phases across the pool's
+    domains.  Winners within a pass are pairwise non-adjacent, so the
+    result is the same for any tiling and any job count.  [priority]
+    is as in {!compute_with_priority} (default: the node id). *)
 val compute_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->

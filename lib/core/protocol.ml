@@ -38,7 +38,7 @@ let classify = function
 
 module IntSet = Set.Make (Int)
 
-module TriSet = Set.Make (struct
+module Triangles = Set.Make (struct
   type t = int * int * int
 
   let compare = compare
@@ -322,15 +322,15 @@ let status_protocol (backbone : bool array) =
 type ldel_state = {
   l_backbone : bool;
   l_bb_nbrs : (int * P.t) list;  (* ICDS neighbors with positions *)
-  l_local_tris : TriSet.t;  (* incident triangles of Del(N1(me)) *)
+  l_local_tris : Triangles.t;  (* incident triangles of Del(N1(me)) *)
   l_gabriel : (int * int) list;  (* incident Gabriel edges of ICDS *)
-  mutable l_responded : TriSet.t;  (* proposals answered (or sent) *)
+  mutable l_responded : Triangles.t;  (* proposals answered (or sent) *)
   l_endorsements : (int * int * int, IntSet.t) Hashtbl.t;
-  mutable l_accepted : TriSet.t;  (* incident accepted triangles *)
-  mutable l_known : TriSet.t;  (* triangles heard in gossip *)
-  l_remaining_of : (int, TriSet.t) Hashtbl.t;
-  mutable l_my_remaining : TriSet.t;
-  mutable l_kept : TriSet.t;
+  mutable l_accepted : Triangles.t;  (* incident accepted triangles *)
+  mutable l_known : Triangles.t;  (* triangles heard in gossip *)
+  l_remaining_of : (int, Triangles.t) Hashtbl.t;
+  mutable l_my_remaining : Triangles.t;
+  mutable l_kept : Triangles.t;
 }
 
 let pi_third = (Float.pi /. 3.) -. 1e-12
@@ -357,10 +357,10 @@ let ldel_protocol (status : status_state array)
     in
     let local_tris =
       if backbone then
-        TriSet.of_list
+        Triangles.of_list
           (Ldel.local_triangles_of_neighborhood ~me ~me_pos:points.(me)
              ~nbrs:bb_nbrs)
-      else TriSet.empty
+      else Triangles.empty
     in
     (* Gabriel test from purely local data: a blocker of edge (me, v)
        lies within |me v| <= radius of me, hence among my ICDS
@@ -382,13 +382,13 @@ let ldel_protocol (status : status_state array)
       l_bb_nbrs = bb_nbrs;
       l_local_tris = local_tris;
       l_gabriel = gabriel;
-      l_responded = TriSet.empty;
+      l_responded = Triangles.empty;
       l_endorsements = Hashtbl.create 16;
-      l_accepted = TriSet.empty;
-      l_known = TriSet.empty;
+      l_accepted = Triangles.empty;
+      l_known = Triangles.empty;
       l_remaining_of = Hashtbl.create 8;
-      l_my_remaining = TriSet.empty;
-      l_kept = TriSet.empty;
+      l_my_remaining = Triangles.empty;
+      l_kept = Triangles.empty;
     }
   in
   let endorse st t from =
@@ -405,17 +405,17 @@ let ldel_protocol (status : status_state array)
         match msg with
         | Proposal t ->
           endorse st t from;
-          if corner_of t && not (TriSet.mem t st.l_responded) then begin
-            st.l_responded <- TriSet.add t st.l_responded;
-            if TriSet.mem t st.l_local_tris then ctx.E.broadcast (Accept t)
+          if corner_of t && not (Triangles.mem t st.l_responded) then begin
+            st.l_responded <- Triangles.add t st.l_responded;
+            if Triangles.mem t st.l_local_tris then ctx.E.broadcast (Accept t)
             else ctx.E.broadcast (Reject t)
           end
         | Accept t -> endorse st t from
         | Reject _ -> ()
         | ShareTriangles (tris, _gabriel) ->
-          List.iter (fun t -> st.l_known <- TriSet.add t st.l_known) tris
+          List.iter (fun t -> st.l_known <- Triangles.add t st.l_known) tris
         | RemainingTriangles tris ->
-          Hashtbl.replace st.l_remaining_of from (TriSet.of_list tris)
+          Hashtbl.replace st.l_remaining_of from (Triangles.of_list tris)
         | Hello _ | IamDominator | IamDominatee _ | TwoHopDoms _
         | TryConnector _ | IamConnector _ | Status _ | NeighborTable _ ->
           ())
@@ -423,7 +423,7 @@ let ldel_protocol (status : status_state array)
     if st.l_backbone then begin
       (* round 0: proposals for well-shaped incident triangles *)
       if ctx.E.round = 0 then
-        TriSet.iter
+        Triangles.iter
           (fun t ->
             if
               Ldel.triangle_fits points ~radius t
@@ -431,15 +431,15 @@ let ldel_protocol (status : status_state array)
             then begin
               ctx.E.broadcast (Proposal t);
               endorse st t me;
-              st.l_responded <- TriSet.add t st.l_responded
+              st.l_responded <- Triangles.add t st.l_responded
             end)
           st.l_local_tris;
       (* round 2: all proposals and responses are in; settle
          acceptance and start the planarization gossip *)
       if ctx.E.round = 2 then begin
-        TriSet.iter
+        Triangles.iter
           (fun ((a, b, c) as t) ->
-            if TriSet.mem t st.l_local_tris then begin
+            if Triangles.mem t st.l_local_tris then begin
               let endorsers =
                 Option.value ~default:IntSet.empty
                   (Hashtbl.find_opt st.l_endorsements t)
@@ -450,24 +450,26 @@ let ldel_protocol (status : status_state array)
                 IntSet.mem a endorsers && IntSet.mem b endorsers
                 && IntSet.mem c endorsers
                 && Ldel.triangle_fits points ~radius t
-              then st.l_accepted <- TriSet.add t st.l_accepted
+              then st.l_accepted <- Triangles.add t st.l_accepted
             end)
           st.l_local_tris;
         (* drop triangles nobody proposed: acceptance needs a proposal *)
         st.l_accepted <-
-          TriSet.filter (fun t -> TriSet.mem t st.l_responded) st.l_accepted;
+          Triangles.filter
+            (fun t -> Triangles.mem t st.l_responded)
+            st.l_accepted;
         if st.l_bb_nbrs <> [] then
           ctx.E.broadcast
-            (ShareTriangles (TriSet.elements st.l_accepted, st.l_gabriel))
+            (ShareTriangles (Triangles.elements st.l_accepted, st.l_gabriel))
       end;
       (* round 3: apply the removal rule and gossip survivors *)
       if ctx.E.round = 3 then begin
-        let known = TriSet.union st.l_known st.l_accepted in
+        let known = Triangles.union st.l_known st.l_accepted in
         st.l_my_remaining <-
-          TriSet.filter
+          Triangles.filter
             (fun t1 ->
               not
-                (TriSet.exists
+                (Triangles.exists
                    (fun t2 ->
                      t2 <> t1
                      && Ldel.triangles_intersect points t1 t2
@@ -479,19 +481,19 @@ let ldel_protocol (status : status_state array)
             st.l_accepted;
         if st.l_bb_nbrs <> [] then
           ctx.E.broadcast
-            (RemainingTriangles (TriSet.elements st.l_my_remaining))
+            (RemainingTriangles (Triangles.elements st.l_my_remaining))
       end;
       (* round 4: keep a triangle only if all three corners kept it *)
       if ctx.E.round = 4 then
         st.l_kept <-
-          TriSet.filter
+          Triangles.filter
             (fun (a, b, c) ->
               List.for_all
                 (fun v ->
                   v = me
                   ||
                   match Hashtbl.find_opt st.l_remaining_of v with
-                  | Some s -> TriSet.mem (a, b, c) s
+                  | Some s -> Triangles.mem (a, b, c) s
                   | None -> false)
                 [ a; b; c ])
             st.l_my_remaining
@@ -512,11 +514,11 @@ type ldel2_state = {
   l2_bb_nbrs : (int * P.t) list;
   l2_two_hop : (int, (int * P.t) list) Hashtbl.t;
       (* neighbor -> its backbone neighbor table *)
-  mutable l2_local_tris : TriSet.t;
+  mutable l2_local_tris : Triangles.t;
   l2_gabriel : (int * int) list;
-  mutable l2_responded : TriSet.t;
+  mutable l2_responded : Triangles.t;
   l2_endorsements : (int * int * int, IntSet.t) Hashtbl.t;
-  mutable l2_accepted : TriSet.t;
+  mutable l2_accepted : Triangles.t;
 }
 
 let ldel2_protocol (status : status_state array)
@@ -547,11 +549,11 @@ let ldel2_protocol (status : status_state array)
       l2_backbone = backbone;
       l2_bb_nbrs = bb_nbrs;
       l2_two_hop = Hashtbl.create 8;
-      l2_local_tris = TriSet.empty;
+      l2_local_tris = Triangles.empty;
       l2_gabriel = gabriel;
-      l2_responded = TriSet.empty;
+      l2_responded = Triangles.empty;
       l2_endorsements = Hashtbl.create 16;
-      l2_accepted = TriSet.empty;
+      l2_accepted = Triangles.empty;
     }
   in
   let endorse st t from =
@@ -570,9 +572,9 @@ let ldel2_protocol (status : status_state array)
           if st.l2_backbone then Hashtbl.replace st.l2_two_hop from tbl
         | Proposal t ->
           endorse st t from;
-          if corner_of t && not (TriSet.mem t st.l2_responded) then begin
-            st.l2_responded <- TriSet.add t st.l2_responded;
-            if TriSet.mem t st.l2_local_tris then ctx.E.broadcast (Accept t)
+          if corner_of t && not (Triangles.mem t st.l2_responded) then begin
+            st.l2_responded <- Triangles.add t st.l2_responded;
+            if Triangles.mem t st.l2_local_tris then ctx.E.broadcast (Accept t)
             else ctx.E.broadcast (Reject t)
           end
         | Accept t -> endorse st t from
@@ -597,10 +599,10 @@ let ldel2_protocol (status : status_state array)
             (Hashtbl.fold (fun v pv acc -> (v, pv) :: acc) two_hop [])
         in
         st.l2_local_tris <-
-          TriSet.of_list
+          Triangles.of_list
             (Ldel.local_triangles_of_neighborhood ~me ~me_pos:points.(me)
                ~nbrs);
-        TriSet.iter
+        Triangles.iter
           (fun t ->
             if
               Ldel.triangle_fits points ~radius t
@@ -608,13 +610,13 @@ let ldel2_protocol (status : status_state array)
             then begin
               ctx.E.broadcast (Proposal t);
               endorse st t me;
-              st.l2_responded <- TriSet.add t st.l2_responded
+              st.l2_responded <- Triangles.add t st.l2_responded
             end)
           st.l2_local_tris
       end;
       (* round 3: settle acceptance *)
       if ctx.E.round = 3 then
-        TriSet.iter
+        Triangles.iter
           (fun ((a, b, c) as t) ->
             let endorsers =
               IntSet.add me
@@ -622,11 +624,11 @@ let ldel2_protocol (status : status_state array)
                    (Hashtbl.find_opt st.l2_endorsements t))
             in
             if
-              TriSet.mem t st.l2_responded
+              Triangles.mem t st.l2_responded
               && IntSet.mem a endorsers && IntSet.mem b endorsers
               && IntSet.mem c endorsers
               && Ldel.triangle_fits points ~radius t
-            then st.l2_accepted <- TriSet.add t st.l2_accepted)
+            then st.l2_accepted <- Triangles.add t st.l2_accepted)
           st.l2_local_tris
     end;
     st
@@ -723,17 +725,18 @@ let run points ~radius =
   let ldel_triangles =
     List.sort_uniq compare
       (Array.to_list ldel
-      |> List.concat_map (fun st -> TriSet.elements st.l_accepted))
+      |> List.concat_map (fun st -> Triangles.elements st.l_accepted))
   in
   let kept_triangles =
     (* a triangle survives when every corner kept it; corners compute
        the same predicate, so collecting any corner's view suffices —
        take the intersection-by-unanimity *)
     List.sort_uniq compare
-      (Array.to_list ldel |> List.concat_map (fun st -> TriSet.elements st.l_kept))
+      (Array.to_list ldel
+      |> List.concat_map (fun st -> Triangles.elements st.l_kept))
     |> List.filter (fun (a, b, c) ->
            List.for_all
-             (fun v -> TriSet.mem (a, b, c) ldel.(v).l_kept)
+             (fun v -> Triangles.mem (a, b, c) ldel.(v).l_kept)
              [ a; b; c ])
   in
   let gabriel_edges =
@@ -796,10 +799,10 @@ let run_ldel2 points ~radius =
   let l2_triangles =
     List.sort_uniq compare
       (Array.to_list ldel2
-      |> List.concat_map (fun st -> TriSet.elements st.l2_accepted))
+      |> List.concat_map (fun st -> Triangles.elements st.l2_accepted))
     |> List.filter (fun (a, b, c) ->
            List.for_all
-             (fun v -> TriSet.mem (a, b, c) ldel2.(v).l2_accepted)
+             (fun v -> Triangles.mem (a, b, c) ldel2.(v).l2_accepted)
              [ a; b; c ])
   in
   let l2_gabriel_edges =

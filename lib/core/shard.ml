@@ -8,8 +8,8 @@
    from each item's owning tile — and per-tile results are stitched
    by deterministic sorted merges.  No stage consults a mutable
    Hashtbl graph; every intermediate is a sealed CSR.  The outputs
-   are bit-identical to the serial [Cds.of_udg] / [Ldel.build] chain
-   for any tile count and any job count (asserted by the shard test
+   are the same for any tile count and any job count, and equal what
+   the message-level [Protocol] computes (asserted by the shard test
    suite). *)
 
 module Csr = Netgraph.Csr
@@ -66,6 +66,14 @@ let tiling ?tiles points ~radius =
     Array.init (Geometry.Cellgrid.cells grid) (Geometry.Cellgrid.nodes_of grid)
   end
 
+type cds_family = {
+  backbone : bool array;
+  cds : Csr.t;
+  cds' : Csr.t;
+  icds : Csr.t;
+  icds' : Csr.t;
+}
+
 (* Dominatee -> adjacent-dominator links, appended off each
    dominatee's CSR row (the CDS'/ICDS' "prime" augmentation). *)
 let add_dominatee_links_csr b udg roles =
@@ -75,6 +83,36 @@ let add_dominatee_links_csr b udg roles =
         Csr.iter_neighbors udg u (fun d ->
             if roles.(d) = Mis.Dominator then Builder.add_edge b u d))
     roles
+
+(* The backbone mask (dominators and connectors) and the ICDS, the
+   UDG induced on it. *)
+let icds ?pool udg roles connectors =
+  let backbone =
+    Array.mapi
+      (fun u r -> r = Mis.Dominator || connectors.Connectors.connector.(u))
+      roles
+  in
+  let b = Builder.create (Csr.node_count udg) in
+  Csr.iter_edges udg (fun u v ->
+      if backbone.(u) && backbone.(v) then Builder.add_edge b u v);
+  (backbone, Builder.seal ?pool b)
+
+(* The family around an ICDS already sealed (by [shard.ldel]). *)
+let complete ?pool udg roles connectors (backbone, icds) =
+  let n = Csr.node_count udg in
+  let cds_b = Builder.create n in
+  Builder.add_edges cds_b connectors.Connectors.cds_edges;
+  let cds = Builder.seal ?pool cds_b in
+  add_dominatee_links_csr cds_b udg roles;
+  let cds' = Builder.seal ?pool cds_b in
+  let icds_b = Builder.create n in
+  Csr.iter_edges icds (Builder.add_edge icds_b);
+  add_dominatee_links_csr icds_b udg roles;
+  let icds' = Builder.seal ?pool icds_b in
+  { backbone; cds; cds'; icds; icds' }
+
+let cds_family ?pool udg roles connectors =
+  complete ?pool udg roles connectors (icds ?pool udg roles connectors)
 
 let pipeline ?pool ?tiles ?priority ?udg points ~radius =
   Obs.span "shard" (fun () ->
@@ -105,41 +143,19 @@ let pipeline ?pool ?tiles ?priority ?udg points ~radius =
         Obs.span "shard.connectors" (fun () ->
             Connectors.find_csr ?pool ~owners udg roles)
       in
-      let ldel =
+      let icds, ldel =
         Obs.span "shard.ldel" (fun () ->
-            (* LDel of the induced backbone, as in the serial chain *)
-            let backbone u =
-              roles.(u) = Mis.Dominator || connectors.Connectors.connector.(u)
-            in
-            let b = Builder.create (Array.length points) in
-            Csr.iter_edges udg (fun u v ->
-                if backbone u && backbone v then Builder.add_edge b u v);
-            let icds = Builder.seal ?pool b in
-            Ldel.build_csr ?pool ~owners icds points ~radius)
+            (* LDel of the induced backbone ICDS *)
+            let icds = icds ?pool udg roles connectors in
+            (icds, Ldel.build_csr ?pool ~owners (snd icds) points ~radius))
       in
       Obs.span "shard.assemble" (fun () ->
-          let n = Array.length points in
-          let backbone =
-            Array.init n (fun u ->
-                roles.(u) = Mis.Dominator
-                || connectors.Connectors.connector.(u))
-          in
-          let seal_of ?points fill =
-            let b = Builder.create n in
+          let f = complete ?pool udg roles connectors icds in
+          let seal_of fill =
+            let b = Builder.create (Array.length points) in
             fill b;
-            Builder.seal ?pool ?points b
+            Builder.seal ?pool ~points b
           in
-          let cds_b = Builder.create n in
-          Builder.add_edges cds_b connectors.Connectors.cds_edges;
-          let cds = Builder.seal ?pool cds_b in
-          add_dominatee_links_csr cds_b udg roles;
-          let cds' = Builder.seal ?pool cds_b in
-          let icds_b = Builder.create n in
-          Csr.iter_edges udg (fun u v ->
-              if backbone.(u) && backbone.(v) then Builder.add_edge icds_b u v);
-          let icds = Builder.seal ?pool icds_b in
-          add_dominatee_links_csr icds_b udg roles;
-          let icds' = Builder.seal ?pool icds_b in
           let add_pldel b =
             Builder.add_edges b ldel.Ldel.p_gabriel;
             List.iter
@@ -149,9 +165,9 @@ let pipeline ?pool ?tiles ?priority ?udg points ~radius =
                 Builder.add_edge b a c)
               ldel.Ldel.p_kept
           in
-          let pldel = seal_of ~points add_pldel in
+          let pldel = seal_of add_pldel in
           let pldel' =
-            seal_of ~points (fun b ->
+            seal_of (fun b ->
                 add_pldel b;
                 add_dominatee_links_csr b udg roles)
           in
@@ -163,11 +179,11 @@ let pipeline ?pool ?tiles ?priority ?udg points ~radius =
             roles;
             connectors;
             ldel;
-            backbone;
-            cds;
-            cds';
-            icds;
-            icds';
+            backbone = f.backbone;
+            cds = f.cds;
+            cds' = f.cds';
+            icds = f.icds;
+            icds' = f.icds';
             pldel;
             pldel';
           }))

@@ -5,18 +5,20 @@
     set}, and every stage — UDG, MIS clustering, connector elections,
     localized Delaunay — runs per-tile on the {!Netgraph.Pool}
     domains against the immutable CSR snapshot of the previous stage.
-    Per-tile results are stitched with deterministic sorted merges
-    (smallest-ID tie-breaks are inherited from the serial elections),
-    so the pipeline's outputs are {b bit-identical} to the serial
-    [Cds.of_udg] / [Ldel.build] chain for any tile count and any job
-    count.  No stage touches a mutable Hashtbl graph; every
-    intermediate and output is a sealed {!Netgraph.Csr} snapshot.
+    Per-tile results are stitched with deterministic sorted merges, so
+    the outputs are the same for any tile count and any job count.  No
+    stage touches a mutable Hashtbl graph; every intermediate and
+    output is a sealed {!Netgraph.Csr} snapshot.
+
+    This is the library's one construction path ({!Backbone.run} and
+    {!Backbone.snapshot} call it); the message-level {!Protocol} is
+    the independent oracle the test suite checks it against.
 
     See DESIGN.md §10 for the tile/halo geometry and the 2-locality
     argument behind per-tile ownership. *)
 
-(** Everything the pipeline produces.  The CSR fields mirror the
-    legacy [Backbone.t]/[Cds.t] graphs: [cds]/[icds] span the
+(** Everything the pipeline produces.  The CSR fields are the
+    [Backbone.t]/[Cds.t] graphs in sealed form: [cds]/[icds] span the
     backbone nodes only, the primed variants add dominatee→dominator
     links, [pldel] is the planar LDel(ICDS) backbone (sealed with
     Euclidean arc weights), [pldel'] its primed variant. *)
@@ -36,6 +38,30 @@ type snapshot = {
   pldel : Netgraph.Csr.t;
   pldel' : Netgraph.Csr.t;
 }
+
+(** The CDS family, as in {!Cds.t}: [backbone] marks dominators and
+    connectors. *)
+type cds_family = {
+  backbone : bool array;
+  cds : Netgraph.Csr.t;
+  cds' : Netgraph.Csr.t;
+  icds : Netgraph.Csr.t;
+  icds' : Netgraph.Csr.t;
+}
+
+(** [cds_family udg roles connectors] seals the four graphs (the
+    pipeline's [shard.assemble] stage, which also seals PLDel). *)
+val cds_family :
+  ?pool:Netgraph.Pool.t ->
+  Netgraph.Csr.t ->
+  Mis.role array ->
+  Connectors.result ->
+  cds_family
+
+(** [auto_tiles_per_axis n] is [tiling]'s default per-axis tile count
+    for [n] nodes (about 4k nodes per tile).  At 1 the pipeline runs
+    one tile, so a pool could split only the UDG and seal passes. *)
+val auto_tiles_per_axis : int -> int
 
 (** [tiling points ~radius] is the tile partition of the node ids:
     grid buckets of square tiles whose side is

@@ -1,7 +1,8 @@
 (** Append-only edge accumulation sealed into {!Csr.t} snapshots.
 
-    This is the construction substrate that retires the mutable
-    Hashtbl-era {!Graph.t} from hot paths: producers append [(u, v)]
+    This is the construction substrate of every build (the core
+    library's one construction path, [Core.Shard.pipeline], never
+    grows a {!Graph.t}): producers append [(u, v)]
     records into a flat int buffer (two words per edge, duplicates
     welcome, no per-edge allocation) and {!seal} freezes the
     accumulated edge {e set} into a read-optimized CSR snapshot —
@@ -11,10 +12,10 @@
     never on append order, which is what makes per-tile parallel
     accumulation deterministic: workers fill private builders, the
     stitcher {!append}s them in tile order (any order would do), and
-    one seal produces the same snapshot the serial build would.
+    one seal produces the same snapshot as one builder fed every edge.
 
     {!Graph.t} remains available as a thin adapter ({!seal_graph},
-    {!Csr.to_graph}) for tests, examples and small instances. *)
+    {!Csr.to_graph}) for callers that read that form. *)
 
 type t
 
@@ -33,7 +34,7 @@ val add_edge : t -> int -> int -> unit
 
 val add_edges : t -> (int * int) list -> unit
 
-(** Append every edge of a legacy graph (adapter direction). *)
+(** Append every edge of a {!Graph.t} (adapter direction). *)
 val add_graph : t -> Graph.t -> unit
 
 (** [append ~into b] bulk-appends [b]'s records into [into] — the

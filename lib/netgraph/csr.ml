@@ -130,6 +130,11 @@ let to_graph t =
   iter_edges t (Graph.add_edge g);
   g
 
+let to_graph_over base t =
+  let g = Graph.copy base in
+  iter_edges t (Graph.add_edge g);
+  g
+
 let with_weights ?beta t points =
   let ew, pw =
     weights_of ~points ?beta ~n:t.n ~offsets:t.offsets ~targets:t.targets ()

@@ -90,6 +90,10 @@ val edges : t -> (int * int) list
     count; avoid on million-node snapshots. *)
 val to_graph : t -> Graph.t
 
+(** [to_graph_over base t] is [to_graph t] for a [t] containing
+    [base]: adjacency sets that [t] leaves unchanged are shared. *)
+val to_graph_over : Graph.t -> t -> Graph.t
+
 (** {1 Traversals}
 
     The [_into] forms write into caller-owned scratch so a worker can

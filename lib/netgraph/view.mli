@@ -2,12 +2,12 @@
 
     Algorithms that only {e read} a topology — traversals, components,
     MST, planarity checks, quality metrics, routing — are written once
-    against this signature and accept the legacy mutable {!Graph.t}
-    and the read-optimized {!Csr.t} uniformly: wrap with {!of_graph}
-    or {!of_csr} and call the same functions.  Construction code
-    should produce {!Csr.t} via {!Builder} and hand consumers a
-    snapshot view; [Graph]-typed entry points remain as thin adapters
-    for tests and examples. *)
+    against this signature and accept the mutable {!Graph.t} and the
+    read-optimized {!Csr.t} uniformly: wrap with {!of_graph} or
+    {!of_csr} and call the same functions.  Construction produces
+    {!Csr.t} via {!Builder}; the [Graph]-typed records and stage
+    entry points of the core library are conversions of those
+    snapshots. *)
 
 type t
 

@@ -1,5 +1,10 @@
 module P = Geometry.Point
 
+(* [build_csr]'s per-node neighbourhood queries, under the names
+   [Geometry.Grid] counts [build]'s by *)
+let c_queries = Obs.counter "grid.queries"
+let d_results = Obs.dist "grid.query_results"
+
 let build points ~radius =
   if radius <= 0. then invalid_arg "Udg.build: radius <= 0";
   let n = Array.length points in
@@ -40,6 +45,12 @@ let build_csr ?pool points ~radius =
       deg.(u + 1) <- !d
     in
     for_all_nodes count;
+    (* Obs cells are single-writer: count only without a pool *)
+    if pool = None && !Obs.on then
+      for u = 0 to n - 1 do
+        Obs.incr c_queries;
+        Obs.observe d_results (float_of_int deg.(u + 1))
+      done;
     let offsets = Array.make (n + 1) 0 in
     for u = 0 to n - 1 do
       offsets.(u + 1) <- offsets.(u) + deg.(u + 1)

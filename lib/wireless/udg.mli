@@ -15,7 +15,8 @@ val build : Geometry.Point.t array -> radius:float -> Netgraph.Graph.t
     graph, so this is the entry point for million-node pipelines.
     With [pool], the per-node count/fill passes fan out across its
     domains; the snapshot is bit-identical to
-    [Csr.of_graph (build points ~radius)] for any job count.
+    [Csr.of_graph (build points ~radius)] for any job count.  Without
+    [pool] it counts one [grid.queries] per node, as [build] does.
     @raise Invalid_argument when [radius <= 0]. *)
 val build_csr :
   ?pool:Netgraph.Pool.t ->

@@ -26,11 +26,12 @@ let test_elect_local_minima () =
      2 < 3, so 3 loses; 1 hears 2, 1 < 2, 1 wins; 2 hears 1 and 3,
      1 < 2, so 2 loses. *)
   let g = path 5 in
-  Alcotest.(check (list int)) "winners" [ 1 ] (Core.Connectors.elect g [ 1; 2; 3 ]);
+  let elect = Core.Connectors.elect_by (G.has_edge g) in
+  Alcotest.(check (list int)) "winners" [ 1 ] (elect [ 1; 2; 3 ]);
   (* non-adjacent candidates all win *)
   Alcotest.(check (list int)) "independent all win" [ 0; 2; 4 ]
-    (Core.Connectors.elect g [ 0; 2; 4 ]);
-  Alcotest.(check (list int)) "empty" [] (Core.Connectors.elect g [])
+    (elect [ 0; 2; 4 ]);
+  Alcotest.(check (list int)) "empty" [] (elect [])
 
 let test_elect_winners_never_adjacent () =
   let rng = Wireless.Rand.create 60L in
@@ -41,7 +42,7 @@ let test_elect_winners_never_adjacent () =
     let cands =
       List.filter (fun _ -> Wireless.Rand.bool rng) (List.init n Fun.id)
     in
-    let winners = Core.Connectors.elect g cands in
+    let winners = Core.Connectors.elect_by (G.has_edge g) cands in
     if cands <> [] then check "at least one winner" true (winners <> []);
     List.iter
       (fun w ->

@@ -186,13 +186,17 @@ module Oracle = struct
 
   let ghost = -1
 
-  module TriSet = Set.Make (struct
+  module Triangles = Set.Make (struct
     type t = int * int * int
 
     let compare = compare
   end)
 
-  type t = { pts : P.t array; mutable alive : TriSet.t; path : (int * int) list option }
+  type t = {
+    pts : P.t array;
+    mutable alive : Triangles.t;
+    path : (int * int) list option;
+  }
 
   let normalize (a, b, c) =
     if c = ghost then (a, b, c)
@@ -214,10 +218,10 @@ module Oracle = struct
 
   let insert t pi =
     let p = t.pts.(pi) in
-    let bad = TriSet.filter (fun tri -> in_circumdisk t.pts tri p) t.alive in
-    if TriSet.is_empty bad then invalid_arg "Triangulation: duplicate point";
+    let bad = Triangles.filter (fun tri -> in_circumdisk t.pts tri p) t.alive in
+    if Triangles.is_empty bad then invalid_arg "Triangulation: duplicate point";
     let edge_set = Hashtbl.create 32 in
-    TriSet.iter
+    Triangles.iter
       (fun tri ->
         List.iter (fun e -> Hashtbl.replace edge_set e ()) (directed_edges tri))
       bad;
@@ -227,9 +231,9 @@ module Oracle = struct
           if Hashtbl.mem edge_set (v, u) then acc else (u, v) :: acc)
         edge_set []
     in
-    t.alive <- TriSet.diff t.alive bad;
+    t.alive <- Triangles.diff t.alive bad;
     List.iter
-      (fun (u, v) -> t.alive <- TriSet.add (normalize (u, v, pi)) t.alive)
+      (fun (u, v) -> t.alive <- Triangles.add (normalize (u, v, pi)) t.alive)
       boundary
 
   let triangulate pts =
@@ -258,15 +262,17 @@ module Oracle = struct
             let u = order.(i) and v = order.(i + 1) in
             (min u v, max u v))
       in
-      { pts; alive = TriSet.empty; path = Some path }
+      { pts; alive = Triangles.empty; path = Some path }
     | Some k ->
       let i, j, k =
         if Pred.orient2d pts.(0) pts.(1) pts.(k) = Pred.Ccw then (0, 1, k)
         else (0, k, 1)
       in
-      let t = { pts; alive = TriSet.singleton (normalize (i, j, k)); path = None } in
+      let t =
+        { pts; alive = Triangles.singleton (normalize (i, j, k)); path = None }
+      in
       List.iter
-        (fun (u, v) -> t.alive <- TriSet.add (v, u, ghost) t.alive)
+        (fun (u, v) -> t.alive <- Triangles.add (v, u, ghost) t.alive)
         (directed_edges (i, j, k));
       for p = 0 to n - 1 do
         if p <> i && p <> j && p <> k then insert t p
@@ -274,7 +280,7 @@ module Oracle = struct
       t
 
   let real t =
-    List.filter (fun (_, _, c) -> c <> ghost) (TriSet.elements t.alive)
+    List.filter (fun (_, _, c) -> c <> ghost) (Triangles.elements t.alive)
 
   let triangles t = real t
 
@@ -294,7 +300,7 @@ module Oracle = struct
     | Some ((u, _) :: _ as path) -> u :: List.map snd path
     | None ->
       let next = Hashtbl.create 16 in
-      TriSet.iter
+      Triangles.iter
         (fun (a, b, c) -> if c = ghost then Hashtbl.replace next a b)
         t.alive;
       let start = Hashtbl.fold (fun a _ acc -> min a acc) next max_int in
@@ -308,7 +314,7 @@ module Oracle = struct
 
   let has_triangle t i j k =
     List.exists
-      (fun tri -> TriSet.mem (normalize tri) t.alive)
+      (fun tri -> Triangles.mem (normalize tri) t.alive)
       [ (i, j, k); (j, k, i); (k, i, j); (i, k, j); (k, j, i); (j, i, k) ]
 end
 

@@ -14,22 +14,32 @@ let random_instance seed n side radius =
   in
   (pts, Wireless.Udg.build pts ~radius)
 
+let view pts g u =
+  Core.Ldel.local_triangles_of_neighborhood ~me:u ~me_pos:pts.(u)
+    ~nbrs:(List.map (fun v -> (v, pts.(v))) (G.neighbors g u))
+
 let test_local_triangles_triangle () =
   let pts = [| P.make 0. 0.; P.make 1. 0.; P.make 0.5 0.8 |] in
   let g = Wireless.Udg.build pts ~radius:1.5 in
-  check "single local triangle" true
-    (Core.Ldel.local_delaunay_triangles g pts 0 = [ (0, 1, 2) ])
+  check "single local triangle" true (view pts g 0 = [ (0, 1, 2) ])
 
+(* Algorithm 2 acceptance from the nodes' own views: a triangle is
+   accepted exactly when all three corners find it locally and its
+   links fit *)
 let test_local_triangles_from_neighborhood_equivalence () =
   let pts, udg = random_instance 100L 60 200. 50. in
-  for u = 0 to 59 do
-    let via_graph = Core.Ldel.local_delaunay_triangles udg pts u in
-    let via_view =
-      Core.Ldel.local_triangles_of_neighborhood ~me:u ~me_pos:pts.(u)
-        ~nbrs:(List.map (fun v -> (v, pts.(v))) (G.neighbors udg u))
-    in
-    check "same triangles" true (via_graph = via_view)
-  done
+  let views = Array.init 60 (view pts udg) in
+  let want =
+    List.sort_uniq compare
+      (List.filter
+         (fun ((a, b, c) as t) ->
+           List.mem t views.(a) && List.mem t views.(b) && List.mem t views.(c)
+           && Core.Ldel.triangle_fits pts ~radius:50. t)
+         (List.concat (Array.to_list views)))
+  in
+  check "accepted = unanimous local views" true
+    (want = (Core.Ldel.build udg pts ~radius:50.).Core.Ldel.triangles);
+  check "some triangles" true (want <> [])
 
 let test_triangle_fits () =
   let pts = [| P.make 0. 0.; P.make 1. 0.; P.make 0. 1. |] in

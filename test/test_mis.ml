@@ -7,6 +7,50 @@ let checki = Alcotest.(check int)
 
 let path n = G.of_edges n (List.init (n - 1) (fun i -> (i, i + 1)))
 
+(* The clustering rule as a list fixpoint over the Hashtbl graph: an
+   implementation independent of the library's CSR kernel, kept as its
+   oracle. *)
+module Oracle = struct
+  type color = White | Black | Gray
+
+  let compute_with_priority g ~priority =
+    let n = G.node_count g in
+    let color = Array.make n White in
+    let better u v =
+      let pu = priority u and pv = priority v in
+      pu < pv || (pu = pv && u < v)
+    in
+    (* each pass blackens every white node that beats all of its white
+       neighbors, then grays their white neighbors *)
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      let winners = ref [] in
+      for u = 0 to n - 1 do
+        if
+          color.(u) = White
+          && List.for_all
+               (fun v -> color.(v) <> White || better u v)
+               (G.neighbors g u)
+        then winners := u :: !winners
+      done;
+      List.iter
+        (fun u ->
+          color.(u) <- Black;
+          changed := true;
+          List.iter
+            (fun v -> if color.(v) = White then color.(v) <- Gray)
+            (G.neighbors g u))
+        !winners
+    done;
+    Array.map
+      (function
+        | Black -> Core.Mis.Dominator
+        | Gray -> Core.Mis.Dominatee
+        | White -> assert false (* fixpoint colors every node *))
+      color
+end
+
 let test_path_greedy () =
   (* on a path 0-1-2-3-4 the greedy-by-id MIS is {0, 2, 4} *)
   let roles = Core.Mis.compute (path 5) in
@@ -120,8 +164,41 @@ let test_lemma1_five_dominators_bound () =
     done
   done
 
+(* random uniform or clustered deployments, with a priority drawn from
+   a few orders: ids, reversed ids, highest degree first, and a
+   scrambled order with many ties *)
+let gen_case =
+  QCheck.Gen.(quad (int_bound 100_000) (int_range 2 160) bool (int_bound 3))
+
+let print_case (seed, n, clustered, order) =
+  Printf.sprintf "seed=%d n=%d clustered=%b order=%d" seed n clustered order
+
+let prop_priority_matches_oracle =
+  QCheck.Test.make ~name:"compute_with_priority = list fixpoint" ~count:80
+    (QCheck.make ~print:print_case gen_case)
+    (fun (seed, n, clustered, order) ->
+      let rng = Wireless.Rand.create (Int64.of_int seed) in
+      let pts =
+        if clustered then
+          Wireless.Deploy.clustered rng ~n ~side:200. ~clusters:3 ~spread:20.
+        else Wireless.Deploy.uniform rng ~n ~side:200.
+      in
+      let g = Wireless.Udg.build pts ~radius:40. in
+      let priority =
+        match order with
+        | 0 -> fun u -> u
+        | 1 -> fun u -> -u
+        | 2 -> fun u -> -G.degree g u
+        | _ -> fun u -> u * 7919 mod 13
+      in
+      Core.Mis.compute_with_priority g ~priority
+      = Oracle.compute_with_priority g ~priority
+      && Core.Mis.compute g = Oracle.compute_with_priority g ~priority:Fun.id)
+
 let suites =
   [
+    ( "core.mis.oracle",
+      [ QCheck_alcotest.to_alcotest prop_priority_matches_oracle ] );
     ( "core.mis",
       [
         Alcotest.test_case "path" `Quick test_path_greedy;

@@ -136,9 +136,33 @@ let test_backbone_counters_deterministic () =
   check "predicates counted" true (v "predicates.incircle" > 0);
   check "insertions counted" true (v "delaunay.insertions" > 0);
   check "grid queried once per node" true (v "grid.queries" = 60);
+  let at_jobs_4 () =
+    ignore
+      (Core.Backbone.run
+         {
+           Core.Backbone.Config.default with
+           Core.Backbone.Config.radius = 60.;
+           jobs = 4;
+         }
+         pts)
+  in
+  check "a one-tile build counts the same at jobs 4" true
+    (counters_of at_jobs_4 = c1);
   check "fallbacks never exceed calls" true
     (v "predicates.orient2d.exact" <= v "predicates.orient2d"
     && v "predicates.incircle.exact" <= v "predicates.incircle")
+
+(* [Ldel.build] runs the CSR kernel without a pool, so the predicate
+   counters stay live for Graph-typed callers *)
+let test_serial_ldel_counts_predicates () =
+  let pts = deployment 2002L 40 60. in
+  let udg = Wireless.Udg.build pts ~radius:60. in
+  let c = Obs.counter "predicates.orient2d" in
+  Obs.set_enabled true;
+  let before = Obs.value c in
+  ignore (Core.Ldel.build udg pts ~radius:60.);
+  Obs.set_enabled false;
+  check "orient2d advanced" true (Obs.value c > before)
 
 let test_protocol_message_counters_deterministic () =
   let pts = deployment 2002L 50 60. in
@@ -298,7 +322,19 @@ let test_check_against_mismatch_paths () =
     Obs.span "ck.s" (fun () -> ())
   in
   let reference = snapshot_of populate in
-  let same = snapshot_of populate in
+  let same =
+    (* two timings of an empty span differ by scheduler jitter alone,
+       so the second capture's span time is pinned at zero *)
+    let s = snapshot_of populate in
+    {
+      s with
+      Obs.Snapshot.spans =
+        List.map
+          (fun (sp : Obs.Snapshot.span_stats) ->
+            { sp with Obs.Snapshot.seconds = 0. })
+          s.Obs.Snapshot.spans;
+    }
+  in
   Alcotest.(check (list string))
     "identical run checks clean" []
     (Obs.Snapshot.check_against ~threshold:0.5 ~reference same);
@@ -425,10 +461,14 @@ let test_config_sink () =
     let v name = List.assoc name snap.Obs.Snapshot.counters in
     check "counters flowed through the sink" true
       (v "predicates.incircle" > 0 && v "delaunay.insertions" > 0);
-    check "stage spans reported" true
-      (List.exists
-         (fun s -> s.Obs.Snapshot.path = "backbone/cds/mis")
-         snap.Obs.Snapshot.spans)
+    List.iter
+      (fun path ->
+        check (path ^ " span reported") true
+          (List.exists
+             (fun s -> s.Obs.Snapshot.path = path)
+             snap.Obs.Snapshot.spans))
+      [ "backbone/shard/shard.mis"; "backbone/shard/shard.ldel";
+        "backbone/thaw" ]
 
 (* ------------------------------------------------------------------ *)
 (* Recorder ring wrap                                                  *)
@@ -509,6 +549,8 @@ let suites =
           (isolated test_check_against_mismatch_paths);
         Alcotest.test_case "backbone counters deterministic" `Quick
           (isolated test_backbone_counters_deterministic);
+        Alcotest.test_case "serial Ldel.build counts predicates" `Quick
+          (isolated test_serial_ldel_counts_predicates);
         Alcotest.test_case "protocol message counters deterministic" `Quick
           (isolated test_protocol_message_counters_deterministic);
         Alcotest.test_case "json round-trip" `Quick (isolated test_json_roundtrip);

@@ -1,5 +1,6 @@
-(* Sharded CSR-native construction: bit-identity against the serial
-   Hashtbl-graph pipeline, for any tiling and any job count. *)
+(* Sharded CSR-native construction: the same outputs for any tiling and
+   any job count, and equal to what the message-level [Protocol] — the
+   independent oracle — computes. *)
 
 module G = Netgraph.Graph
 module Csr = Netgraph.Csr
@@ -60,7 +61,7 @@ let test_udg_csr_tiny () =
 let test_mis_csr_identity () =
   let pts, g = deployment 12L 400 200. 22. in
   let csr = Csr.of_graph g in
-  let want = Core.Mis.compute g in
+  let want = Test_mis.Oracle.compute_with_priority g ~priority:Fun.id in
   List.iter
     (fun jobs ->
       List.iter
@@ -78,13 +79,27 @@ let test_mis_csr_identity () =
     [ 1; 2; 4 ]
 
 let test_mis_csr_priority () =
-  let _, g = deployment 13L 200 200. 30. in
+  let pts, g = deployment 13L 200 200. 30. in
   let priority u = -u in
-  let want = Core.Mis.compute_with_priority g ~priority in
-  let got = Core.Mis.compute_csr ~priority (Csr.of_graph g) in
-  check "priority identical" true (want = got)
+  let want = Test_mis.Oracle.compute_with_priority g ~priority in
+  let csr = Csr.of_graph g in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun tiles ->
+          with_jobs jobs (fun pool ->
+              check
+                (Printf.sprintf "priority jobs=%d" jobs)
+                true
+                (want = Core.Mis.compute_csr ?pool ?owners:tiles ~priority csr)))
+        [ None; Some (spatial_tiles pts 3) ])
+    [ 1; 2 ]
 
 (* --- Connectors ----------------------------------------------------- *)
+
+(* [find] is [find_csr] with one tile and no pool: the reference for
+   tiling and job invariance here (shard.pipeline checks the elections
+   against [Protocol]) *)
 
 let test_connectors_csr_identity () =
   let pts, g = deployment 14L 400 200. 22. in
@@ -115,6 +130,9 @@ let test_connectors_csr_identity () =
 
 (* --- LDel ----------------------------------------------------------- *)
 
+(* [build] is [build_csr] with one tile and no pool, materialized by
+   [of_parts]: the reference for tiling and job invariance here *)
+
 let tri_list = Alcotest.(check (list (triple int int int)))
 
 let test_ldel_csr_identity () =
@@ -143,16 +161,19 @@ let test_ldel_csr_identity () =
     [ 1; 2; 4 ]
 
 (* the induced backbone graph has isolated nodes and sparse rows — the
-   other shape [build_csr] must reproduce *)
+   other shape [build_csr] must handle.  Fed the ICDS the protocol
+   derived, it must reproduce the protocol's triangles and Gabriel
+   edges. *)
 let test_ldel_csr_on_backbone () =
-  let pts, g = deployment 16L 250 200. 30. in
-  let cds = Core.Cds.of_udg g in
-  let icds = cds.Core.Cds.icds in
-  let want = Core.Ldel.build icds pts ~radius:30. in
-  let parts = Core.Ldel.build_csr (Csr.of_graph icds) pts ~radius:30. in
-  edge_list "gabriel" want.Core.Ldel.gabriel_edges parts.Core.Ldel.p_gabriel;
-  tri_list "triangles" want.Core.Ldel.triangles parts.Core.Ldel.p_triangles;
-  tri_list "kept" want.Core.Ldel.kept_triangles parts.Core.Ldel.p_kept
+  let pts, _ = deployment 16L 250 200. 30. in
+  let pr = Core.Protocol.run pts ~radius:30. in
+  let b = Netgraph.Builder.create (Array.length pts) in
+  Netgraph.Builder.add_edges b pr.Core.Protocol.icds_edges;
+  let parts = Core.Ldel.build_csr (Netgraph.Builder.seal b) pts ~radius:30. in
+  edge_list "gabriel" pr.Core.Protocol.gabriel_edges parts.Core.Ldel.p_gabriel;
+  tri_list "triangles" pr.Core.Protocol.ldel_triangles
+    parts.Core.Ldel.p_triangles;
+  tri_list "kept" pr.Core.Protocol.kept_triangles parts.Core.Ldel.p_kept
 
 (* --- Builder / View ------------------------------------------------- *)
 
@@ -352,41 +373,89 @@ let same_backbone tag (a : Core.Backbone.t) (b : Core.Backbone.t) =
     (Csr.edges a.Core.Backbone.planar_csr)
     (Csr.edges b.Core.Backbone.planar_csr)
 
-(* serial vs sharded [Backbone.run]: identical records for jobs 1/2/4
-   and a sweep of tile counts *)
-let test_pipeline_identity () =
-  let rng = Wireless.Rand.create 21L in
-  let pts = Wireless.Deploy.uniform rng ~n:600 ~side:300. in
-  let serial =
-    Core.Backbone.run
-      {
-        Core.Backbone.Config.default with
-        Core.Backbone.Config.radius = 30.;
-        partition = Core.Backbone.Config.Serial;
-      }
-      pts
+(* The protocol oracle: roles, connectors, CDS and ICDS edges, LDel
+   triangles, kept triangles and Gabriel edges of the pipeline equal
+   [Protocol.run]'s, at tilings 1/3/7 and jobs 1/2, and so do those of
+   the thawed [Backbone.run] record. *)
+let agrees_with_protocol tag (pr : Core.Protocol.result) ~roles ~connector
+    ~cds_edges ~icds_edges ~(ldel : Core.Ldel.csr_parts) =
+  check (tag ^ " roles") true (pr.Core.Protocol.roles = roles);
+  check (tag ^ " connectors") true (pr.Core.Protocol.connector = connector);
+  edge_list (tag ^ " cds edges") pr.Core.Protocol.cds_edges cds_edges;
+  edge_list (tag ^ " icds edges") pr.Core.Protocol.icds_edges icds_edges;
+  tri_list (tag ^ " ldel triangles") pr.Core.Protocol.ldel_triangles
+    ldel.Core.Ldel.p_triangles;
+  tri_list (tag ^ " kept triangles") pr.Core.Protocol.kept_triangles
+    ldel.Core.Ldel.p_kept;
+  edge_list (tag ^ " gabriel edges") pr.Core.Protocol.gabriel_edges
+    ldel.Core.Ldel.p_gabriel
+
+let oracle_deployments seed =
+  let rng = Wireless.Rand.create seed in
+  let uniform = Wireless.Deploy.uniform rng ~n:300 ~side:250. in
+  let clustered =
+    Wireless.Deploy.clustered rng ~n:300 ~side:300. ~clusters:4 ~spread:25.
   in
+  (* two islands far beyond radio range of each other *)
+  let island dx =
+    Array.map
+      (fun (p : Geometry.Point.t) -> Geometry.Point.make (p.x +. dx) p.y)
+      (Wireless.Deploy.uniform rng ~n:120 ~side:120.)
+  in
+  let disconnected = Array.append (island 0.) (island 400.) in
+  List.map
+    (fun (kind, pts) -> (Printf.sprintf "%s seed=%Ld" kind seed, pts))
+    [ ("uniform", uniform); ("clustered", clustered);
+      ("disconnected", disconnected) ]
+
+let test_protocol_oracle () =
+  let radius = 30. in
   List.iter
-    (fun jobs ->
+    (fun (name, pts) ->
+      let pr = Core.Protocol.run pts ~radius in
       List.iter
-        (fun k ->
-          let sharded =
+        (fun jobs ->
+          List.iter
+            (fun tiles ->
+              with_jobs jobs (fun pool ->
+                  let s = Core.Shard.pipeline ?pool ~tiles pts ~radius in
+                  agrees_with_protocol
+                    (Printf.sprintf "%s tiles=%d jobs=%d" name tiles jobs)
+                    pr ~roles:s.Core.Shard.roles
+                    ~connector:s.Core.Shard.connectors.Core.Connectors.connector
+                    ~cds_edges:s.Core.Shard.connectors.Core.Connectors.cds_edges
+                    ~icds_edges:(Csr.edges s.Core.Shard.icds)
+                    ~ldel:s.Core.Shard.ldel))
+            [ 1; 3; 7 ];
+          let bb =
             Core.Backbone.run
               {
                 Core.Backbone.Config.default with
-                Core.Backbone.Config.radius = 30.;
-                partition = Core.Backbone.Config.Tiles k;
+                Core.Backbone.Config.radius;
                 jobs;
               }
               pts
           in
-          same_backbone (Printf.sprintf "tiles=%d jobs=%d" k jobs) serial
-            sharded)
-        [ 1; 2; 3; 5 ])
-    [ 1; 2; 4 ]
+          let cds = bb.Core.Backbone.cds in
+          let l = bb.Core.Backbone.ldel_icds in
+          let tag = Printf.sprintf "%s run jobs=%d" name jobs in
+          agrees_with_protocol tag pr ~roles:cds.Core.Cds.roles
+            ~connector:cds.Core.Cds.connectors.Core.Connectors.connector
+            ~cds_edges:(G.edges cds.Core.Cds.cds)
+            ~icds_edges:(G.edges cds.Core.Cds.icds)
+            ~ldel:
+              {
+                Core.Ldel.p_gabriel = l.Core.Ldel.gabriel_edges;
+                p_triangles = l.Core.Ldel.triangles;
+                p_kept = l.Core.Ldel.kept_triangles;
+              };
+          check (tag ^ " planar graph") true
+            (G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g))
+        [ 1; 2 ])
+    (List.concat_map oracle_deployments [ 21L; 22L; 23L; 24L ])
 
-(* [Backbone.snapshot] agrees with the record the sharded [run]
-   materializes *)
+(* [Backbone.run] thaws exactly the structures [Backbone.snapshot]
+   seals *)
 let test_snapshot_matches_run () =
   let rng = Wireless.Rand.create 22L in
   let pts = Wireless.Deploy.uniform rng ~n:500 ~side:300. in
@@ -394,7 +463,6 @@ let test_snapshot_matches_run () =
     {
       Core.Backbone.Config.default with
       Core.Backbone.Config.radius = 32.;
-      partition = Core.Backbone.Config.Tiles 3;
       jobs = 2;
     }
   in
@@ -411,6 +479,9 @@ let test_snapshot_matches_run () =
   edge_list "cds"
     (G.edges t.Core.Backbone.cds.Core.Cds.cds)
     (Csr.edges s.Core.Shard.cds);
+  edge_list "cds'"
+    (G.edges t.Core.Backbone.cds.Core.Cds.cds')
+    (Csr.edges s.Core.Shard.cds');
   edge_list "pldel"
     (G.edges t.Core.Backbone.ldel_icds_g)
     (Csr.edges s.Core.Shard.pldel);
@@ -418,22 +489,48 @@ let test_snapshot_matches_run () =
     (G.edges t.Core.Backbone.ldel_icds')
     (Csr.edges s.Core.Shard.pldel')
 
-(* quasi radio: the UDG stage is serial (RNG stream) but the sharded
-   stages must still reproduce the serial chain on it *)
+(* quasi radio: the UDG stage is serial (RNG stream); the sharded
+   stages must give the same structures at tiles 1 vs 3 on it, and
+   [Backbone.run] the same record at jobs 1 vs 2 *)
 let test_pipeline_quasi () =
   let rng = Wireless.Rand.create 23L in
   let pts = Wireless.Deploy.uniform rng ~n:300 ~side:250. in
-  let cfg partition =
+  let radius = 35. in
+  let udg =
+    Csr.of_graph
+      (Wireless.Udg.build_quasi (Wireless.Rand.create 99L) pts ~r_min:25.
+         ~r_max:radius)
+  in
+  let one = Core.Shard.pipeline ~tiles:1 ~udg pts ~radius in
+  let three = Core.Shard.pipeline ~tiles:3 ~udg pts ~radius in
+  check "quasi tiles 1 vs 3 roles" true
+    (one.Core.Shard.roles = three.Core.Shard.roles);
+  check "quasi tiles 1 vs 3 connectors" true
+    (one.Core.Shard.connectors = three.Core.Shard.connectors);
+  check "quasi tiles 1 vs 3 ldel" true
+    (one.Core.Shard.ldel = three.Core.Shard.ldel);
+  List.iter
+    (fun (name, f) ->
+      edge_list ("quasi tiles 1 vs 3 " ^ name) (Csr.edges (f one))
+        (Csr.edges (f three)))
+    [
+      ("cds'", fun s -> s.Core.Shard.cds');
+      ("icds'", fun s -> s.Core.Shard.icds');
+      ("pldel'", fun s -> s.Core.Shard.pldel');
+    ];
+  let cfg jobs =
     {
       Core.Backbone.Config.default with
-      Core.Backbone.Config.radius = 35.;
+      Core.Backbone.Config.radius;
       radio = Core.Backbone.Config.Quasi { r_min = 25.; seed = 99L };
-      partition;
+      jobs;
     }
   in
-  let serial = Core.Backbone.run (cfg Core.Backbone.Config.Serial) pts in
-  let sharded = Core.Backbone.run (cfg (Core.Backbone.Config.Tiles 3)) pts in
-  same_backbone "quasi" serial sharded
+  let j1 = Core.Backbone.run (cfg 1) pts in
+  let j2 = Core.Backbone.run (cfg 2) pts in
+  same_backbone "quasi jobs 1 vs 2" j1 j2;
+  edge_list "quasi run = pipeline udg" (Csr.edges one.Core.Shard.udg)
+    (G.edges j1.Core.Backbone.udg)
 
 (* tiling invariants: every node exactly once, tile side >= radius *)
 let test_tiling_partition () =
@@ -458,27 +555,30 @@ let test_tiling_partition () =
         (Array.length owners <= 8 * 8))
     [ 1; 2; 7; 50 ]
 
-(* ISSUE acceptance: n = 10^4, sharded bit-identical to serial for
-   jobs in {1, 2, 4} — UDG, CDS family and PLDel compared edge by
-   edge.  [Auto] partitions here (n >= 5000, Disk radio). *)
+(* n = 10^4: auto tiling at jobs 1/2/4 gives the one-tile, one-job
+   structures edge for edge *)
 let test_acceptance_10k () =
   let rng = Wireless.Rand.create 41L in
   let pts = Wireless.Deploy.uniform rng ~n:10_000 ~side:1000. in
-  let cfg partition jobs =
-    {
-      Core.Backbone.Config.default with
-      Core.Backbone.Config.radius = 20.;
-      partition;
-      jobs;
-    }
+  let radius = 20. in
+  let one = Core.Shard.pipeline ~tiles:1 pts ~radius in
+  let csrs (s : Core.Shard.snapshot) =
+    List.map Csr.edges
+      Core.Shard.[ s.udg; s.cds; s.cds'; s.icds; s.icds'; s.pldel; s.pldel' ]
   in
-  let serial = Core.Backbone.run (cfg Core.Backbone.Config.Serial 1) pts in
   List.iter
     (fun jobs ->
-      let sharded =
-        Core.Backbone.run (cfg Core.Backbone.Config.Auto jobs) pts
+      let s =
+        Core.Backbone.snapshot
+          { Core.Backbone.Config.default with Core.Backbone.Config.radius; jobs }
+          pts
       in
-      same_backbone (Printf.sprintf "10k jobs=%d" jobs) serial sharded)
+      let tag = Printf.sprintf "10k jobs=%d" jobs in
+      check (tag ^ " roles") true (one.Core.Shard.roles = s.Core.Shard.roles);
+      check (tag ^ " connectors") true
+        (one.Core.Shard.connectors = s.Core.Shard.connectors);
+      check (tag ^ " ldel") true (one.Core.Shard.ldel = s.Core.Shard.ldel);
+      check (tag ^ " sealed structures") true (csrs one = csrs s))
     [ 1; 2; 4 ]
 
 let suites =
@@ -507,8 +607,7 @@ let suites =
       ] );
     ( "shard.pipeline",
       [
-        Alcotest.test_case "serial vs sharded run" `Quick
-          test_pipeline_identity;
+        Alcotest.test_case "protocol oracle" `Quick test_protocol_oracle;
         Alcotest.test_case "snapshot matches run" `Quick
           test_snapshot_matches_run;
         Alcotest.test_case "quasi radio" `Quick test_pipeline_quasi;
